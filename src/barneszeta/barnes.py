@@ -14,9 +14,8 @@ from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import DomainError, PoleError
 from .hurwitz import hurwitz_zeta
 from .numerics import (
+    _B,
     ContourSpec,
-    bernoulli_numbers,
-    central_difference,
     contour_coefficients,
     frac_part_integral_1d,
     frac_part_integral_2d,
@@ -31,8 +30,6 @@ __all__ = [
     "log_gamma2",
     "polygamma2",
 ]
-
-_B = bernoulli_numbers(64)
 
 
 @dataclass(frozen=True)
@@ -89,32 +86,18 @@ def _em_tail_terms(s_arr, a_m, ratio, j_len):
     with the 0 * pole cancellation at s = 2-2j evaluated analytically.
     """
     out = np.zeros_like(s_arr)
-    poch = None
+    lead = np.ones_like(s_arr)  # (s)_{2j-2}, built as a forward product
     for j in range(1, j_len + 1):
-        poch = s_arr.copy() if j == 1 else poch * (s_arr + (2 * j - 3)) * (s_arr + (2 * j - 2))
+        poch = lead * (s_arr + (2 * j - 2))  # (s)_{2j-1}
         coef = _B[2 * j] / math.factorial(2 * j) * ratio ** (2 * j - 1)
         hit = s_arr == (2.0 - 2.0 * j)  # zeta_H argument lands on its pole
-        if np.any(hit):
-            safe = np.where(hit, s_arr + 0.5, s_arr)
-            term = _recompute_poch(safe, 2 * j - 1) * hurwitz_zeta(safe + 2 * j - 1, a_m)
-            # (s)_{2j-1} has a simple zero exactly cancelling the simple
-            # pole (residue 1); the limit is the product of the remaining
-            # Pochhammer factors.
-            limit = np.ones_like(s_arr)
-            for i in range(2 * j - 1):
-                if i != 2 * j - 2:
-                    limit = limit * (s_arr + i)
-            term = np.where(hit, limit, term)
-        else:
-            term = poch * hurwitz_zeta(s_arr + 2 * j - 1, a_m)
+        safe = np.where(hit, s_arr + 0.5, s_arr)
+        # (s)_{2j-1} has a simple zero exactly cancelling the simple pole
+        # (residue 1); the limit is the product of the other factors,
+        # (s)_{2j-2}.
+        term = np.where(hit, lead, poch * hurwitz_zeta(safe + 2 * j - 1, a_m))
         out = out + coef * term
-    return out
-
-
-def _recompute_poch(s_arr, m):
-    out = np.ones_like(s_arr)
-    for i in range(m):
-        out = out * (s_arr + i)
+        lead = poch * (s_arr + (2 * j - 1))
     return out
 
 
@@ -196,21 +179,21 @@ def log_gamma2(p: BarnesParams, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
 
 
 def polygamma2(k: int, p: BarnesParams, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """k-th derivative in alpha of log Gamma_2(alpha; v, w), k <= 4.
+    """k-th derivative in alpha of log Gamma_2(alpha; v, w), any k >= 0.
 
-    Central differences with one Richardson refinement over fd_step and
-    fd_step/2.
+    d^k/dalpha^k zeta_2(s) = (-1)^k (s)_k zeta_2(s+k); its s-slope at 0 is
+    -g_0(1) for k = 1, g_{-1}(2) + g_0(2) for k = 2 (Laurent coefficients
+    at the poles) and (-1)^k (k-1)! zeta_2(k) for k >= 3.
     """
-    if not 0 <= k <= 4:
-        raise ValueError("k must be in 0..4")
+    # imported here: laurent imports this module
+    from .laurent import laurent_at_1, laurent_at_2, residue_at_2
+
+    if k < 0:
+        raise ValueError("k must be non-negative")
     if k == 0:
         return log_gamma2(p, cfg)
-    h = cfg.fd_step
-    if not 0 < h < p.alpha / 4:
-        raise ValueError("fd_step must lie in (0, alpha/4)")
-
-    def f(x):
-        return log_gamma2(BarnesParams(x, p.v, p.w), cfg)
-
-    value, _ = central_difference(f, p.alpha, h, order=k)
-    return float(value)
+    if k == 1:
+        return float(-laurent_at_1(p, 0, cfg).gammas[0])
+    if k == 2:
+        return float(residue_at_2(p) + laurent_at_2(p, 0, cfg).gammas[0])
+    return (-1) ** k * math.factorial(k - 1) * zeta2(float(k), p, cfg).real

@@ -8,6 +8,7 @@ Subcommands: eval, laurent, special, verify.  Output is JSON on stdout
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -129,9 +130,7 @@ def _cmd_eval(args) -> int:
     if s in (1.0 + 0j, 2.0 + 0j) and not args.laurent_fallback:
         sys.stderr.write(f"zeta2 has a pole at s = {int(s.real)}\n")
         return EXIT_POLE
-    method = args.method
-    if method == "auto":
-        method = "direct" if s.real > 2.5 else "em"
+    method = "em" if args.method == "auto" else args.method
     try:
         if s in (1.0 + 0j, 2.0 + 0j):
             # --laurent-fallback: report the regular part at the pole
@@ -229,24 +228,14 @@ def _cmd_verify(args) -> int:
             return EXIT_USAGE
     reports = run_suites((args.suite,), tol=args.tol, cfg=cfg, seed=seed)
     all_pass = all(r.passed for r in reports)
-    rec = {
-        "schema_version": SCHEMA_VERSION,
-        "command": vars_echo(args),
-        "config": cfg.snapshot(),
-        "suites": [r.to_dict() for r in reports],
-        "pass": all_pass,
-        "wall_time_ms": _num((time.perf_counter() - started) * 1000.0),
-    }
+    rec = _record(args, cfg, started, suites=[r.to_dict() for r in reports])
+    rec["pass"] = all_pass
     _emit(rec)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            header_done = False
-            for r in reports:
-                for i, row in enumerate(r.csv_rows()):
-                    if i == 0:
-                        if header_done:
-                            continue
-                        header_done = True
+            for i, r in enumerate(reports):
+                # one header line: skip it after the first report
+                for row in itertools.islice(r.csv_rows(), 1 if i else 0, None):
                     fh.write(row + "\n")
     return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
 
@@ -301,8 +290,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as '-0.3+1i', which is not a plain
+    # negative number, for an option flag; bind it to --s explicitly.
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--s" and argv[i + 1].startswith("-"):
+            argv[i:i + 2] = [f"--s={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

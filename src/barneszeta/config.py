@@ -14,12 +14,13 @@ class EvalConfig:
     """Precision knobs.
 
     direct_M      outer truncation of the row-wise Euler-Maclaurin sum
+                  (the reference ``eval --method direct`` sums 32*direct_M)
     em_order      number of even-index Bernoulli correction terms (outer)
     hurwitz_M     head length of the Hurwitz zeta Euler-Maclaurin sum
     hurwitz_J     Bernoulli correction terms inside the Hurwitz evaluator
     quad          sawtooth-integral quadrature spec
     contour_radius / contour_nodes   defaults for coefficient extraction
-    fd_step       central-difference step for derivatives in alpha
+    fd_step       central-difference step of the verify alpha-derivatives
     """
 
     direct_M: int = 64

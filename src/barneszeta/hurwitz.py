@@ -20,9 +20,9 @@ import numpy as np
 from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import ConsistencyError, PoleError
 from .numerics import (
+    _B,
     ContourSpec,
     QuadratureSpec,
-    bernoulli_numbers,
     contour_coefficients_with_error,
     frac_part_integral_1d,
     richardson_extrapolate,
@@ -35,8 +35,6 @@ __all__ = [
     "stieltjes_constants",
     "gamma0_integral",
 ]
-
-_B = bernoulli_numbers(34)
 
 
 @dataclass(frozen=True)

@@ -96,8 +96,8 @@ def bernoulli_numbers(n_max: int) -> list[float]:
     return [float(b) for b in bs]
 
 
-# Frozen even-index Bernoulli values B_2, B_4, ... used by the tail formulas.
-_B_EVEN = bernoulli_numbers(16)[2::2]
+# The package's one Bernoulli table, B_0..B_64.
+_B = bernoulli_numbers(_BERNOULLI_MAX)
 
 
 def _poch(s, m: int):
@@ -126,7 +126,7 @@ def _frac1d_tail(a, c, s, n_cells):
     base = a + c * n_cells
     tail = 0.5 * base ** (1.0 - s) / (c * (s - 1.0))
     for j in range(1, _TAIL_TERMS + 1):
-        coef = _B_EVEN[j - 1] / math.factorial(2 * j)
+        coef = _B[2 * j] / math.factorial(2 * j)
         tail = tail - coef * c ** (2 * j - 2) * _poch(s, 2 * j - 2) * base ** (-s - 2 * j + 2)
     return tail
 
@@ -134,7 +134,7 @@ def _frac1d_tail(a, c, s, n_cells):
 def _frac1d_tail_bound(a_min, c, s, n_cells):
     """Magnitude of the first omitted tail correction term."""
     j = _TAIL_TERMS + 1
-    coef = abs(_B_EVEN[j - 1]) / math.factorial(2 * j)
+    coef = abs(_B[2 * j]) / math.factorial(2 * j)
     sig = np.real(s)
     return (
         coef
@@ -147,7 +147,7 @@ def _frac1d_tail_bound(a_min, c, s, n_cells):
 def _frac1d_cells_needed(a_min, c, s, tol):
     """Smallest N with the omitted tail term below tol/2."""
     j = _TAIL_TERMS + 1
-    coef = abs(_B_EVEN[j - 1]) / math.factorial(2 * j)
+    coef = abs(_B[2 * j]) / math.factorial(2 * j)
     sig = float(np.real(s))
     k = coef * float(np.max(np.abs(_poch(s, 2 * j - 2)))) * c ** (2 * j - 2)
     if k == 0.0:
@@ -229,7 +229,7 @@ def frac_part_integral_2d(alpha, v, w, s, spec: QuadratureSpec | None = None,
     # Outer cell count: first omitted outer Euler-Maclaurin term, with the
     # inner integral at shift 2j-2 bounded by A^(3-sigma-2j)/(w*(sigma+2j-3)).
     j = _TAIL_TERMS + 1
-    coef = abs(_B_EVEN[j - 1]) / math.factorial(2 * j)
+    coef = abs(_B[2 * j]) / math.factorial(2 * j)
     k = coef * abs(_poch(s, 2 * j - 2)) * v ** (2 * j - 2) / (w * (sig + 2 * j - 3))
     base = (k / (0.5 * spec.tail_tol)) ** (1.0 / (sig + 2 * j - 3))
     n_cells = max(1, int(math.ceil((base - alpha) / v)))
@@ -249,7 +249,7 @@ def frac_part_integral_2d(alpha, v, w, s, spec: QuadratureSpec | None = None,
     tail = complex(half) / (2.0 * v * (s - 1.0))
     errs = [e0 / (2.0 * v * abs(s - 1.0))]
     for jj in range(1, _TAIL_TERMS + 1):
-        cjj = _B_EVEN[jj - 1] / math.factorial(2 * jj)
+        cjj = _B[2 * jj] / math.factorial(2 * jj)
         inner, ej = _frac1d_core(np.asarray(a_n), w, s + 2 * jj - 2, inner_spec)
         tail = tail - cjj * _poch(s, 2 * jj - 2) * v ** (2 * jj - 2) * complex(inner)
         errs.append(abs(cjj) * abs(_poch(s, 2 * jj - 2)) * v ** (2 * jj - 2) * ej)

@@ -29,7 +29,7 @@ from .laurent import (
     residue_at_1,
     residue_at_2,
 )
-from .numerics import e_algorithm
+from .numerics import central_difference, e_algorithm
 
 __all__ = [
     "Check",
@@ -200,17 +200,13 @@ def _taylor_alpha_derivative(p: BarnesParams, k_max: int, cfg: EvalConfig):
     Central difference with one Richardson step; four contour evaluations
     give every order at once.
     """
-    h = cfg.fd_step
-
     def coeffs(alpha):
         derivs = zeta2_s_derivatives_at_0(BarnesParams(alpha, p.v, p.w),
                                           k_max, cfg)
         return np.array([d.real / math.factorial(k)
                          for k, d in enumerate(derivs)])
 
-    d_h = (coeffs(p.alpha + h) - coeffs(p.alpha - h)) / (2 * h)
-    d_h2 = (coeffs(p.alpha + h / 2) - coeffs(p.alpha - h / 2)) / h
-    return (4.0 * d_h2 - d_h) / 3.0
+    return central_difference(coeffs, p.alpha, cfg.fd_step)[0]
 
 
 def verify_theorem2_derivative(p: BarnesParams, k_max: int = 3,
@@ -238,15 +234,11 @@ def verify_theorem2_derivative(p: BarnesParams, k_max: int = 3,
 
 def _laurent1_alpha_derivative(p: BarnesParams, k_max: int, cfg: EvalConfig):
     """d/dalpha of [g_{-1}(1), g_0(1), ..., g_k_max(1)]."""
-    h = cfg.fd_step
-
     def vec(alpha):
         exp = laurent_at_1(BarnesParams(alpha, p.v, p.w), k_max, cfg)
         return np.array([exp.gamma_minus1, *exp.gammas])
 
-    d_h = (vec(p.alpha + h) - vec(p.alpha - h)) / (2 * h)
-    d_h2 = (vec(p.alpha + h / 2) - vec(p.alpha - h / 2)) / h
-    return (4.0 * d_h2 - d_h) / 3.0
+    return central_difference(vec, p.alpha, cfg.fd_step)[0]
 
 
 def verify_theorem2_altsum(p: BarnesParams, k_max: int = 3,

@@ -3,12 +3,12 @@ representation, s-derivatives at the origin, log Gamma_2, psi_2."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from barneszeta import (
     BarnesParams,
-    EvalConfig,
     hurwitz_zeta,
     log_gamma2,
     polygamma2,
@@ -20,7 +20,7 @@ from barneszeta import (
 from barneszeta.errors import DomainError, PoleError
 from barneszeta.numerics import ContourSpec, contour_coefficients
 
-from conftest import ZETA3, ZETA_PRIME_M1, brute_zeta2
+from conftest import ZETA2, ZETA3, ZETA4, ZETA_PRIME_M1, brute_zeta2
 
 
 class TestParams:
@@ -200,9 +200,23 @@ class TestPolygamma2:
         # psi_2'(1;1,1) = -g_0(1,1;1,1) = 1/2 (s=1 Laurent constant term)
         assert abs(polygamma2(1, BarnesParams(1, 1, 1)) - 0.5) < 1e-6
 
-    def test_step_validation(self):
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            polygamma2(-1, BarnesParams(1, 1, 1))
+
+    def test_higher_orders_unit(self):
+        # psi_2^(k) = (-1)^k (k-1)! zeta_2(k) for k >= 3, and
+        # zeta_2(s, 1; 1, 1) = zeta(s-1)
         p = BarnesParams(1, 1, 1)
-        with pytest.raises(ValueError):
-            polygamma2(1, p, EvalConfig(fd_step=0.3))
-        with pytest.raises(ValueError):
-            polygamma2(5, p)
+        for k, expected in ((3, -2.0 * ZETA2), (4, 6.0 * ZETA3),
+                            (5, -24.0 * ZETA4)):
+            assert abs(polygamma2(k, p) - expected) < 1e-10
+
+    def test_fourth_order_against_row_sum(self):
+        # zeta_2(4) = w^-4 sum_m zeta_H(4, (alpha+m v)/w), summed by mpmath
+        alpha, v, w = 0.7, 1.3, 2.1
+        ref = 6.0 * float(mpmath.nsum(
+            lambda m: mpmath.zeta(4, (alpha + v * m) / w), [0, mpmath.inf])
+            / mpmath.mpf(w) ** 4)
+        assert abs(ref - 25.603) < 1e-3
+        assert abs(polygamma2(4, BarnesParams(alpha, v, w)) - ref) < 1e-10 * ref

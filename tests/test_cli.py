@@ -8,7 +8,7 @@ import pytest
 from barneszeta import BarnesParams, zeta2
 from barneszeta.cli import format_complex, main, parse_complex
 
-from conftest import EULER, RAW_STIELTJES_1, ZETA_PRIME_M1
+from conftest import EULER, RAW_STIELTJES_1, ZETA2, ZETA_PRIME_M1
 
 
 def run_cli(capsys, argv):
@@ -57,6 +57,22 @@ class TestEval:
         diff = math.hypot(em["value"]["re"] - direct["value"]["re"],
                           em["value"]["im"] - direct["value"]["im"])
         assert diff <= direct["est_error"]
+
+    def test_default_method_is_em(self, capsys):
+        # zeta_2(s, 1; 1, 1) = zeta(s-1)
+        code, rec, _ = run_cli(capsys, ["eval", "--s", "3", "--alpha", "1",
+                                        "--v", "1", "--w", "1"])
+        assert code == 0
+        assert rec["method"] == "em"
+        assert abs(rec["value"]["re"] - ZETA2) < 1e-12
+
+    def test_complex_s_with_leading_minus(self, capsys):
+        code, rec, _ = run_cli(capsys, ["eval", "--s", "-0.3+1i", "--alpha",
+                                        "0.7", "--v", "1.3", "--w", "2.1"])
+        assert code == 0
+        assert parse_complex(rec["command"]["s"]) == -0.3 + 1j
+        ref = zeta2(-0.3 + 1j, BarnesParams(0.7, 1.3, 2.1))
+        assert rec["value"] == {"re": ref.real, "im": ref.imag}
 
     def test_integral_method(self, capsys):
         code, rec, _ = run_cli(capsys, ["eval", "--method", "integral",
