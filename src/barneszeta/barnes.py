@@ -1,6 +1,6 @@
 """Barnes double zeta-function: evaluation away from the poles at s = 1, 2,
 derivatives in s at the origin, the double log-gamma, and double
-poly-gamma values.
+poly-gamma values, all read off one Euler-Maclaurin evaluator on jets in s.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ import numpy as np
 
 from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import DomainError, PoleError
-from .hurwitz import hurwitz_zeta
+from .hurwitz import _hurwitz_jet, hurwitz_zeta
 from .numerics import (
-    _B,
-    ContourSpec,
-    contour_coefficients,
+    _em_corrections,
+    _jet_mul,
+    _jet_pow,
+    _jet_recip,
     frac_part_integral_1d,
     frac_part_integral_2d,
 )
@@ -79,56 +80,44 @@ def zeta2_direct(s, p: BarnesParams, M: int, with_error: bool = False):
     return total, tail
 
 
-def _em_tail_terms(s_arr, a_m, ratio, j_len):
-    """Outer Euler-Maclaurin Bernoulli corrections.
+def _zeta2_jet(c, p: BarnesParams, n: int, cfg: EvalConfig):
+    """Jet of zeta_2(s, alpha; v, w) about s = c, slots eps^-1..eps^n.
 
-    sum_j B_2j/(2j)! * ratio^(2j-1) * (s)_{2j-1} * zeta_H(s+2j-1, a_m),
-    with the 0 * pole cancellation at s = 2-2j evaluated analytically.
+    Row decomposition sum_m w^(-s) zeta_H(s, (alpha+m*v)/w) with the outer
+    m-sum continued by Euler-Maclaurin; every m-derivative reduces to a
+    shifted Hurwitz value via d/da zeta_H(s, a) = -s zeta_H(s+1, a).  One
+    Hurwitz jet call covers the head rows and zeta_H(s-1), zeta_H(s),
+    zeta_H(s+2j-1) at the cut a_M.  c may be an array.
     """
-    out = np.zeros_like(s_arr)
-    lead = np.ones_like(s_arr)  # (s)_{2j-2}, built as a forward product
-    for j in range(1, j_len + 1):
-        poch = lead * (s_arr + (2 * j - 2))  # (s)_{2j-1}
-        coef = _B[2 * j] / math.factorial(2 * j) * ratio ** (2 * j - 1)
-        hit = s_arr == (2.0 - 2.0 * j)  # zeta_H argument lands on its pole
-        safe = np.where(hit, s_arr + 0.5, s_arr)
-        # (s)_{2j-1} has a simple zero exactly cancelling the simple pole
-        # (residue 1); the limit is the product of the other factors,
-        # (s)_{2j-2}.
-        term = np.where(hit, lead, poch * hurwitz_zeta(safe + 2 * j - 1, a_m))
-        out = out + coef * term
-        lead = poch * (s_arr + (2 * j - 1))
-    return out
+    alpha, v, w = p.alpha, p.v, p.w
+    m_len, j_len = cfg.direct_M, cfg.em_order
+    c = np.asarray(c, dtype=complex)
+    odd = 2 * np.arange(1, j_len + 1) - 1
+    shifts = np.concatenate([np.zeros(m_len), [-1.0, 0.0], odd])
+    rows = np.minimum(np.arange(m_len + j_len + 2), m_len)  # cut row M repeats
+    zh = _hurwitz_jet(c[..., None] + shifts, (alpha + v * rows) / w, n, cfg)
+    head = zh[..., :m_len, :].sum(axis=-2)
+    mid = (w / v) * _jet_mul(_jet_recip(c, n), zh[..., m_len, :]) \
+        + 0.5 * zh[..., m_len + 1, :]
+    tail = _em_corrections(c, ((v / w) ** odd)[:, None] * zh[..., m_len + 2:, :])
+    return _jet_mul(_jet_pow(w, c, n), head + mid + tail)
 
 
 def zeta2(s, p: BarnesParams, cfg: EvalConfig = DEFAULT_CONFIG):
     """zeta_2(s, alpha; v, w) for s away from the poles at 1 and 2.
 
-    Row decomposition sum_m w^(-s) zeta_H(s, (alpha+m*v)/w) with the outer
-    m-sum continued by Euler-Maclaurin; every m-derivative reduces to a
-    shifted Hurwitz value via d/da zeta_H(s, a) = -s zeta_H(s+1, a).
-    Accepts scalar or ndarray s.
+    The eps^0 slot of the Euler-Maclaurin jet about s.  Accepts scalar or
+    ndarray s.
     """
     s_in = np.asarray(s, dtype=complex)
     if np.any(s_in == 1.0):
         raise PoleError(1)
     if np.any(s_in == 2.0):
         raise PoleError(2)
-    alpha, v, w = p.alpha, p.v, p.w
-    m_len, j_len = cfg.direct_M, cfg.em_order
-
-    s_arr = np.atleast_1d(s_in)
-    a_rows = (alpha + v * np.arange(m_len)) / w
-    head = hurwitz_zeta(s_arr[:, None], a_rows, cfg).sum(axis=-1)
-
-    a_m = (alpha + m_len * v) / w
-    mid = (w / (v * (s_arr - 1.0))) * hurwitz_zeta(s_arr - 1.0, a_m, cfg) \
-        + 0.5 * hurwitz_zeta(s_arr, a_m, cfg)
-    tail = _em_tail_terms(s_arr, a_m, v / w, j_len)
-    out = w ** (-s_arr) * (head + mid + tail)
+    out = _zeta2_jet(s_in, p, 1, cfg)[..., 1]
     if s_in.ndim == 0:
-        return complex(out[0])
-    return out.reshape(s_in.shape)
+        return complex(out)
+    return out
 
 
 def zeta2_integral_rep(s, p: BarnesParams, cfg: EvalConfig = DEFAULT_CONFIG):
@@ -161,16 +150,12 @@ def zeta2_s_derivatives_at_0(p: BarnesParams, k_max: int,
                              cfg: EvalConfig = DEFAULT_CONFIG):
     """Derivatives d^k/ds^k zeta_2(s, alpha; v, w) at s = 0, k = 0..k_max.
 
-    Contour extraction about the origin (radius below 1 keeps the pole at
-    s = 1 outside); k! times the Taylor coefficients.
+    k! times the Taylor coefficients of the Euler-Maclaurin jet about 0.
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
-    radius = min(cfg.contour_radius, 0.5)
-    spec = ContourSpec(center=0.0, radius=radius,
-                       nodes=cfg.contour_nodes, max_order=k_max)
-    coeffs = contour_coefficients(lambda z: zeta2(z, p, cfg), spec, pole_order=0)
-    return [math.factorial(k) * coeffs[k] for k in range(k_max + 1)]
+    jet = _zeta2_jet(0.0, p, k_max + 1, cfg)
+    return [math.factorial(k) * complex(jet[k + 1]) for k in range(k_max + 1)]
 
 
 def log_gamma2(p: BarnesParams, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -181,19 +166,14 @@ def log_gamma2(p: BarnesParams, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
 def polygamma2(k: int, p: BarnesParams, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """k-th derivative in alpha of log Gamma_2(alpha; v, w), any k >= 0.
 
-    d^k/dalpha^k zeta_2(s) = (-1)^k (s)_k zeta_2(s+k); its s-slope at 0 is
-    -g_0(1) for k = 1, g_{-1}(2) + g_0(2) for k = 2 (Laurent coefficients
-    at the poles) and (-1)^k (k-1)! zeta_2(k) for k >= 3.
+    d^k/dalpha^k zeta_2(s) = (-1)^k (s)_k zeta_2(s+k) with (s)_k = (k-1)! s
+    (1 + H_{k-1} s + ...), H the harmonic number; its s-slope at 0 is
+    (-1)^k (k-1)! [g_0(k) + H_{k-1} g_{-1}(k)], Laurent coefficients at k.
     """
-    # imported here: laurent imports this module
-    from .laurent import laurent_at_1, laurent_at_2, residue_at_2
-
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0:
         return log_gamma2(p, cfg)
-    if k == 1:
-        return float(-laurent_at_1(p, 0, cfg).gammas[0])
-    if k == 2:
-        return float(residue_at_2(p) + laurent_at_2(p, 0, cfg).gammas[0])
-    return (-1) ** k * math.factorial(k - 1) * zeta2(float(k), p, cfg).real
+    jet = _zeta2_jet(float(k), p, 1, cfg).real
+    harmonic = sum(1.0 / i for i in range(1, k))
+    return (-1) ** k * math.factorial(k - 1) * float(jet[1] + harmonic * jet[0])

@@ -71,8 +71,6 @@ def _add_config_args(sp):
                     help="outer Euler-Maclaurin truncation (also direct-sum M)")
     sp.add_argument("--em-order", type=int, default=None)
     sp.add_argument("--quad-tol", type=float, default=None)
-    sp.add_argument("--contour-radius", type=float, default=None)
-    sp.add_argument("--contour-nodes", type=int, default=None)
     sp.add_argument("--fd-step", type=float, default=None)
 
 
@@ -84,10 +82,6 @@ def _config_from(args) -> EvalConfig:
         kw["em_order"] = args.em_order
     if args.quad_tol is not None:
         kw["quad"] = QuadratureSpec(tail_tol=args.quad_tol)
-    if args.contour_radius is not None:
-        kw["contour_radius"] = args.contour_radius
-    if args.contour_nodes is not None:
-        kw["contour_nodes"] = args.contour_nodes
     if args.fd_step is not None:
         kw["fd_step"] = args.fd_step
     return EvalConfig(**kw)
@@ -262,7 +256,7 @@ def build_parser() -> _Parser:
     pl.add_argument("--v", type=float, required=True)
     pl.add_argument("--w", type=float, required=True)
     pl.add_argument("--kmax", type=int, default=2)
-    pl.add_argument("--method", choices=["contour", "limit"], default="contour")
+    pl.add_argument("--method", choices=["em", "limit"], default="em")
     _add_config_args(pl)
     pl.set_defaults(func=_cmd_laurent)
 

@@ -19,8 +19,8 @@ class EvalConfig:
     hurwitz_M     head length of the Hurwitz zeta Euler-Maclaurin sum
     hurwitz_J     Bernoulli correction terms inside the Hurwitz evaluator
     quad          sawtooth-integral quadrature spec
-    contour_radius / contour_nodes   defaults for coefficient extraction
     fd_step       central-difference step of the verify alpha-derivatives
+                  (capped at alpha/4)
     """
 
     direct_M: int = 64
@@ -28,8 +28,6 @@ class EvalConfig:
     hurwitz_M: int = 64
     hurwitz_J: int = 12
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
-    contour_radius: float = 0.5
-    contour_nodes: int = 256
     fd_step: float = 5e-3
 
     def __post_init__(self):
@@ -56,8 +54,6 @@ class EvalConfig:
                 "max_cells": self.quad.max_cells,
                 "tail_tol": self.quad.tail_tol,
             },
-            "contour_radius": self.contour_radius,
-            "contour_nodes": self.contour_nodes,
             "fd_step": self.fd_step,
         }
 

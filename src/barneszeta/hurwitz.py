@@ -20,10 +20,12 @@ import numpy as np
 from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import ConsistencyError, PoleError
 from .numerics import (
-    _B,
-    ContourSpec,
     QuadratureSpec,
-    contour_coefficients_with_error,
+    _JET_REL_ERR,
+    _em_corrections,
+    _jet_mul,
+    _jet_pow,
+    _jet_recip,
     frac_part_integral_1d,
     richardson_extrapolate,
 )
@@ -52,11 +54,29 @@ class StieltjesTable:
             raise ValueError("gammas and errs must have equal length")
 
 
+def _hurwitz_jet(c, a, n: int, cfg: EvalConfig):
+    """Jet of zeta_H(s, a) about s = c, slots eps^-1..eps^n.
+
+    Euler-Maclaurin: head sum of hurwitz_M terms, integral and midpoint
+    terms, then hurwitz_J even-Bernoulli corrections, all on jets.  c and
+    a broadcast; the jet is on a new last axis.
+    """
+    c = np.asarray(c, dtype=complex)
+    a = np.asarray(a, dtype=float)
+    m = np.arange(cfg.hurwitz_M)
+    head = _jet_pow(a[..., None] + m, c[..., None], n).sum(axis=-2)
+    base = cfg.hurwitz_M + a
+    x_s = _jet_pow(base, c, n)
+    out = head + _jet_mul(base[..., None] * x_s, _jet_recip(c, n)) + 0.5 * x_s
+    odd = 2 * np.arange(1, cfg.hurwitz_J + 1) - 1
+    terms = (base[..., None] ** -odd)[..., None] * x_s[..., None, :]
+    return out + _em_corrections(c, terms)
+
+
 def hurwitz_zeta(s, a, cfg: EvalConfig = DEFAULT_CONFIG):
     """Hurwitz zeta zeta_H(s, a), continued to all s != 1.
 
-    Euler-Maclaurin: head sum of hurwitz_M terms, integral and midpoint
-    terms, then hurwitz_J even-Bernoulli corrections.  Accepts scalar or
+    The eps^0 slot of the Euler-Maclaurin jet about s.  Accepts scalar or
     ndarray s (and broadcastable a); returns the matching shape.
     """
     s_arr = np.asarray(s, dtype=complex)
@@ -65,20 +85,7 @@ def hurwitz_zeta(s, a, cfg: EvalConfig = DEFAULT_CONFIG):
         raise ValueError("a must be positive")
     if np.any(s_arr == 1.0):
         raise PoleError(1, "zeta_H has its pole at s = 1")
-
-    m_len, j_len = cfg.hurwitz_M, cfg.hurwitz_J
-    sx = s_arr[..., None]
-    ax = a_arr[..., None] if a_arr.ndim else a_arr
-    m = np.arange(m_len)
-    head = ((m + ax) ** (-sx)).sum(axis=-1)
-
-    base = m_len + a_arr
-    out = head + base ** (1.0 - s_arr) / (s_arr - 1.0) + 0.5 * base ** (-s_arr)
-    poch = np.ones_like(s_arr)  # (s)_{2j-1}, built as a forward product
-    for j in range(1, j_len + 1):
-        poch = poch * (s_arr + (2 * j - 3)) * (s_arr + (2 * j - 2)) if j > 1 \
-            else s_arr.copy()
-        out = out + _B[2 * j] / math.factorial(2 * j) * poch * base ** (-s_arr - 2 * j + 1)
+    out = _hurwitz_jet(s_arr, a_arr, 1, cfg)[..., 1]
     if np.asarray(s).ndim == 0 and np.asarray(a).ndim == 0:
         return complex(out)
     return out
@@ -112,8 +119,9 @@ def stieltjes_constants(a: float, k_max: int, cfg: EvalConfig = DEFAULT_CONFIG,
                         cross_check: bool = False) -> StieltjesTable:
     """Laurent coefficients g_0(a)..g_k_max(a) of zeta_H(., a) about s = 1.
 
-    Primary route: circle-contour coefficient extraction (spectral).  With
-    ``cross_check`` the limit-formula route is run as well; the table then
+    Primary route: the Euler-Maclaurin jet about s = 1, with its rounding
+    floor as error estimate.  With ``cross_check`` the limit-formula route
+    is run as well; the table then
     carries the larger of the two error estimates and a disagreement beyond
     100x the combined estimate raises ConsistencyError.
     """
@@ -121,19 +129,16 @@ def stieltjes_constants(a: float, k_max: int, cfg: EvalConfig = DEFAULT_CONFIG,
         raise ValueError("a must be positive")
     if not 0 <= k_max <= 16:
         raise ValueError("k_max must be in 0..16")
-    spec = ContourSpec(center=1.0, radius=cfg.contour_radius,
-                       nodes=cfg.contour_nodes, max_order=k_max)
-    coeffs, errs = contour_coefficients_with_error(
-        lambda z: hurwitz_zeta(z, a, cfg), spec, pole_order=1)
-    gammas = [c.real for c in coeffs[1:]]
-    gerrs = list(errs[1:])
+    jet = _hurwitz_jet(1.0, a, k_max + 1, cfg)
+    gammas = [float(g.real) for g in jet[1:k_max + 2]]
+    gerrs = [_JET_REL_ERR * max(1.0, abs(g)) for g in gammas]
     if cross_check:
         for k in range(k_max + 1):
             alt, alt_err = _stieltjes_limit(a, k)
             combined = gerrs[k] + alt_err
             if abs(alt - gammas[k]) > 100.0 * max(combined, 1e-15):
                 raise ConsistencyError(
-                    f"contour and limit-formula g_{k}({a}) disagree: "
+                    f"Euler-Maclaurin and limit-formula g_{k}({a}) disagree: "
                     f"{gammas[k]:.12g} vs {alt:.12g}")
             gerrs[k] = max(gerrs[k], alt_err)
     return StieltjesTable(a=a, gammas=tuple(gammas), errs=tuple(gerrs))

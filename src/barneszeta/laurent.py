@@ -1,5 +1,5 @@
 """Laurent coefficients of the Barnes double zeta-function at s = 2 and
-s = 1, by contour extraction, by finite-M limit formulas, and by the
+s = 1, from the Euler-Maclaurin jet, by finite-M limit formulas, and by the
 closed integral representation of the constant term at s = 2.
 
 Coefficients are raw Laurent coefficients:
@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barnes import BarnesParams, zeta2
+from .barnes import BarnesParams, _zeta2_jet
 from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import ConsistencyError
 from .hurwitz import hurwitz_zeta
 from .numerics import (
-    ContourSpec,
-    contour_coefficients_with_error,
+    _JET_REL_ERR,
     frac_part_integral_1d,
     frac_part_integral_2d,
     richardson_extrapolate,
@@ -43,8 +42,8 @@ _M_CAP = 1e15  # beyond this, log-power cancellation degrades
 class LaurentExpansion:
     """Expansion about one of the two poles.
 
-    gamma_minus1 is the extracted residue; err_minus1 folds in both the
-    node-halving estimate and the deviation from the exact closed form.
+    gamma_minus1 is the computed residue; err_minus1 folds in both the
+    rounding floor and the deviation from the exact closed form.
     """
 
     center: int
@@ -79,38 +78,32 @@ def residue_at_1(p: BarnesParams) -> float:
     return (p.v + p.w - 2.0 * p.alpha) / (2.0 * p.v * p.w)
 
 
-def _laurent_contour(p, center, exact_residue, k_max, cfg):
-    radius = min(cfg.contour_radius, 0.75)  # keep the other pole outside
-    spec = ContourSpec(center=float(center), radius=radius,
-                       nodes=cfg.contour_nodes, max_order=k_max)
-    coeffs, errs = contour_coefficients_with_error(
-        lambda z: zeta2(z, p, cfg), spec, pole_order=1)
-    g_m1 = coeffs[0].real
-    err_m1 = errs[0] + abs(g_m1 - exact_residue)
+def _laurent_jet(p, center, exact_residue, k_max, cfg):
+    if not 0 <= k_max <= 12:
+        raise ValueError("k_max must be in 0..12")
+    jet = _zeta2_jet(float(center), p, k_max + 1, cfg).real
+    g_m1 = float(jet[0])
+    gammas = tuple(float(g) for g in jet[1:k_max + 2])
     return LaurentExpansion(
         center=center,
         gamma_minus1=g_m1,
-        err_minus1=err_m1,
-        gammas=tuple(c.real for c in coeffs[1:]),
-        errs=tuple(errs[1:]),
-        method="contour",
+        err_minus1=_JET_REL_ERR * max(1.0, abs(g_m1)) + abs(g_m1 - exact_residue),
+        gammas=gammas,
+        errs=tuple(_JET_REL_ERR * max(1.0, abs(g)) for g in gammas),
+        method="em",
     )
 
 
 def laurent_at_2(p: BarnesParams, k_max: int,
                  cfg: EvalConfig = DEFAULT_CONFIG) -> LaurentExpansion:
-    """Coefficients g_{-1}..g_k_max of zeta_2 about s = 2 (contour route)."""
-    if not 0 <= k_max <= 12:
-        raise ValueError("k_max must be in 0..12")
-    return _laurent_contour(p, 2, residue_at_2(p), k_max, cfg)
+    """Coefficients g_{-1}..g_k_max of zeta_2 about s = 2 (jet route)."""
+    return _laurent_jet(p, 2, residue_at_2(p), k_max, cfg)
 
 
 def laurent_at_1(p: BarnesParams, k_max: int,
                  cfg: EvalConfig = DEFAULT_CONFIG) -> LaurentExpansion:
-    """Coefficients g_{-1}..g_k_max of zeta_2 about s = 1 (contour route)."""
-    if not 0 <= k_max <= 12:
-        raise ValueError("k_max must be in 0..12")
-    return _laurent_contour(p, 1, residue_at_1(p), k_max, cfg)
+    """Coefficients g_{-1}..g_k_max of zeta_2 about s = 1 (jet route)."""
+    return _laurent_jet(p, 1, residue_at_1(p), k_max, cfg)
 
 
 def gamma0_at_2_integral(p: BarnesParams,
@@ -140,21 +133,19 @@ def gamma0_at_2_integral(p: BarnesParams,
 def _lattice_log_sums(p: BarnesParams, k: int, m_list, power: int = 2):
     """sum_{m,n<=M} log^k(A)/A^power over the square lattice, for each M."""
     alpha, v, w = p.alpha, p.v, p.w
-    ms = sorted(m_list)
-    m_max = ms[-1]
+    m_max = max(m_list)
     n = np.arange(m_max + 1)
-    totals = {m: 0.0 for m in ms}
+    shells = np.zeros(m_max + 1)
     chunk = max(1, 2_000_000 // (m_max + 1))
     for lo in range(0, m_max + 1, chunk):
         rows = np.arange(lo, min(lo + chunk, m_max + 1))
         grid = alpha + v * rows[:, None] + w * n[None, :]
         vals = np.log(grid) ** k / grid ** power if k else grid ** (-float(power))
-        csum = np.cumsum(vals, axis=1)
-        for m in ms:
-            if m >= lo:
-                upto = min(m, rows[-1])
-                totals[m] += float(csum[: upto - lo + 1, m].sum())
-    return totals
+        # bin by shell max(m, n); square totals are prefix sums over shells
+        shell = np.maximum(rows[:, None], n[None, :])
+        shells += np.bincount(shell.ravel(), vals.ravel(), minlength=m_max + 1)
+    totals = np.cumsum(shells)
+    return {m: float(totals[m]) for m in m_list}
 
 
 def _counterterm(p: BarnesParams, k: int, m: int) -> float:

@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
-Bernoulli numbers, quadrature of sawtooth-kernel integrals, sequence
-extrapolation with log-power remainder models, and circle-contour
+Bernoulli numbers, jets in s, quadrature of sawtooth-kernel integrals,
+sequence extrapolation with log-power remainder models, and circle-contour
 extraction of Taylor/Laurent coefficients.
 """
 
@@ -106,6 +106,65 @@ def _poch(s, m: int):
     for i in range(m):
         out = out * (s + i)
     return out
+
+
+# A jet about the center c holds a truncated Laurent series in eps = s - c
+# on its last axis: the coefficients of eps^-1, eps^0, ..., eps^n.  A
+# product with a pole factor needs the other factor one order higher, so
+# its top slot is not exact and evaluators carry one order more than read.
+# Rounding floor of a jet coefficient, relative to max(1, |coefficient|):
+# 16x the worst error seen against mpmath at orders -1..12.
+_JET_REL_ERR = 2.0 ** -36
+
+
+def _jet_mul(x, y):
+    """Product of two jets; the eps^-2 slot (pole times pole) is dropped."""
+    n2 = x.shape[-1]
+    out = x[..., 1:2] * y  # eps^0 of x times every slot of y
+    out[..., :-1] += x[..., :1] * y[..., 1:]
+    for i in range(2, n2):
+        # eps^(i-1) * eps^(j-1) lands in slot i + j - 1
+        out[..., i - 1:] += x[..., i:i + 1] * y[..., :n2 - i + 1]
+    return out
+
+
+def _jet_pow(x, c, n: int):
+    """Jet of x^-s about s = c for x > 0: x^-c sum_k (-log x)^k/k! eps^k."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(np.broadcast(x, c).shape + (n + 2,), dtype=complex)
+    out[..., 1] = x ** -np.asarray(c, dtype=complex)
+    mlog = -np.log(x)
+    for k in range(1, n + 1):
+        out[..., k + 1] = out[..., k] * mlog / k
+    return out
+
+
+def _jet_recip(c, n: int):
+    """Jet of 1/(s-1) about s = c; where c = 1 it is the pole slot alone."""
+    d = np.asarray(c, dtype=complex)[..., None] - 1.0
+    pole = d == 0
+    taylor = -(-1.0 / np.where(pole, 1.0, d)) ** np.arange(1, n + 2)
+    return np.concatenate([pole, np.where(pole, 0.0, taylor)], axis=-1)
+
+
+def _em_corrections(c, terms):
+    """sum_j B_2j/(2j)! (s)_{2j-1} terms_j over j = 1..J, on jets about c.
+
+    ``terms`` has shape (..., J, n+2).  A zero of (s)_{2j-1} meets a pole
+    of terms_j inside one jet product.
+    """
+    c = np.asarray(c, dtype=complex)[..., None]
+    j_len, n2 = terms.shape[-2:]
+    rising = [np.zeros(c.shape[:-1] + (n2,), dtype=complex)]  # (s)_0, (s)_1, ...
+    rising[0][..., 1] = 1.0
+    for i in range(2 * j_len - 1):
+        # (s)_{i+1} = (s)_i (c + i + eps); eps moves every slot up by one
+        nxt = rising[-1] * (c + i)
+        nxt[..., 2:] += rising[-1][..., 1:-1]
+        rising.append(nxt)
+    coefs = np.array([_B[2 * j] / math.factorial(2 * j) for j in range(1, j_len + 1)])
+    poch = np.stack(rising[1::2], axis=-2)  # (s)_{2j-1}, j = 1..J
+    return (coefs[:, None] * _jet_mul(poch, terms)).sum(axis=-2)
 
 
 def _gauss_cell(order: int):
@@ -367,33 +426,16 @@ def contour_coefficients_with_error(f, spec: ContourSpec, pole_order: int = 0):
     return list(full), list(errs)
 
 
-_CD_STENCILS = {
-    # order -> (offsets in units of h, coefficients, h power)
-    1: ((-1, 1), (-0.5, 0.5), 1),
-    2: ((-1, 0, 1), (1.0, -2.0, 1.0), 2),
-    3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5), 3),
-    4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0), 4),
-}
+def central_difference(f, x, h):
+    """First derivative by central differences, O(h^4) accurate.
 
-
-def central_difference(f, x, h, order=1, refine=True):
-    """Central finite-difference derivative of given order, O(h^2) accurate.
-
-    With ``refine`` the stencil is evaluated at h and h/2 and combined by
-    one Richardson step (O(h^4)); returns (value, err) with err taken from
-    the h vs h/2 discrepancy.
+    The central difference at h and at h/2, combined by one Richardson
+    step; returns (value, err) with err taken from the h vs h/2
+    discrepancy.
     """
-    if order == 0:
-        return f(x), 0.0
-    if order not in _CD_STENCILS:
-        raise ValueError("order must be 0..4")
-    offs, coefs, p = _CD_STENCILS[order]
-
     def stencil(step):
-        return sum(c * f(x + o * step) for o, c in zip(offs, coefs)) / step ** p
+        return (-0.5 * f(x - step) + 0.5 * f(x + step)) / step
 
     d1 = stencil(h)
-    if not refine:
-        return d1, abs(h) ** 2
     d2 = stencil(h / 2.0)
     return (4.0 * d2 - d1) / 3.0, abs(d2 - d1) / 3.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barnes import BarnesParams, zeta2, zeta2_s_derivatives_at_0
+from .barnes import BarnesParams, _zeta2_jet, zeta2
 from .config import EvalConfig, DEFAULT_CONFIG
 from .hurwitz import hurwitz_zeta, stieltjes_constants
 from .laurent import (
@@ -49,7 +49,7 @@ DEFAULT_SEED = 20250823
 
 # Default tolerances by check flavor.
 TOL_EXACT = 1e-10       # exact closed forms: residues, reduction
-TOL_CONTOUR = 1e-6      # contour vs quadrature/derivative routes
+TOL_CONTOUR = 1e-6      # jet vs quadrature/finite-difference routes
 TOL_LIMIT = 1e-3        # raw finite-M limit formulas
 
 
@@ -62,19 +62,20 @@ class Check:
     rel_err: float
     tol: float
     passed: bool
+    error: str | None = None  # exception text of a check that raised
 
     def to_dict(self):
         return {
             "id": self.id, "lhs": self.lhs, "rhs": self.rhs,
             "abs_err": self.abs_err, "rel_err": self.rel_err,
-            "tol": self.tol, "pass": self.passed,
+            "tol": self.tol, "pass": self.passed, "error": self.error,
         }
 
     @classmethod
     def from_dict(cls, d):
         return cls(id=d["id"], lhs=d["lhs"], rhs=d["rhs"],
                    abs_err=d["abs_err"], rel_err=d["rel_err"],
-                   tol=d["tol"], passed=d["pass"])
+                   tol=d["tol"], passed=d["pass"], error=d.get("error"))
 
 
 def _make_check(cid, lhs, rhs, tol):
@@ -99,7 +100,7 @@ def _bound_check(cid, quantity, bound):
 def _failed_check(cid, exc, tol):
     return Check(id=cid, lhs=float("nan"), rhs=float("nan"),
                  abs_err=float("inf"), rel_err=float("inf"),
-                 tol=float(tol), passed=False)
+                 tol=float(tol), passed=False, error=str(exc))
 
 
 @dataclass
@@ -194,19 +195,17 @@ def verify_theorem1(p: BarnesParams, k_max: int = 2, tol: float | None = None,
                               cfg.snapshot())
 
 
-def _taylor_alpha_derivative(p: BarnesParams, k_max: int, cfg: EvalConfig):
-    """d/dalpha of the s=0 Taylor coefficients, orders 0..k_max.
+def _alpha_slope(p: BarnesParams, center: float, k_max: int, cfg: EvalConfig):
+    """d/dalpha of the jet of zeta_2 about s = center, slots eps^-1..eps^k_max.
 
-    Central difference with one Richardson step; four contour evaluations
-    give every order at once.
+    A central difference on purpose: the alpha-identity is what the theorem-2
+    suites check.  The step is at most alpha/4, so every alpha sampled is > 0.
     """
-    def coeffs(alpha):
-        derivs = zeta2_s_derivatives_at_0(BarnesParams(alpha, p.v, p.w),
-                                          k_max, cfg)
-        return np.array([d.real / math.factorial(k)
-                         for k, d in enumerate(derivs)])
+    def jet(alpha):
+        q = BarnesParams(alpha, p.v, p.w)
+        return _zeta2_jet(center, q, k_max + 1, cfg)[:k_max + 2].real
 
-    return central_difference(coeffs, p.alpha, cfg.fd_step)[0]
+    return central_difference(jet, p.alpha, min(cfg.fd_step, p.alpha / 4))[0]
 
 
 def verify_theorem2_derivative(p: BarnesParams, k_max: int = 3,
@@ -222,23 +221,14 @@ def verify_theorem2_derivative(p: BarnesParams, k_max: int = 3,
     checks = []
     try:
         exp = laurent_at_1(p, k_max, cfg)
-        dcoef = _taylor_alpha_derivative(p, k_max + 1, cfg)
+        dcoef = _alpha_slope(p, 0.0, k_max + 1, cfg)  # index k+1 at order k
         for k in range(-1, k_max + 1):
             lhs = exp.gamma_minus1 if k == -1 else exp.gammas[k]
-            checks.append(_make_check(f"deriv_k{k:+d}", lhs, -dcoef[k + 1], tol))
+            checks.append(_make_check(f"deriv_k{k:+d}", lhs, -dcoef[k + 2], tol))
     except Exception as exc:  # noqa: BLE001
         checks.append(_failed_check("deriv_suite", exc, tol))
     return VerificationReport("theorem2_derivative", checks, _params_dict(p),
                               cfg.snapshot())
-
-
-def _laurent1_alpha_derivative(p: BarnesParams, k_max: int, cfg: EvalConfig):
-    """d/dalpha of [g_{-1}(1), g_0(1), ..., g_k_max(1)]."""
-    def vec(alpha):
-        exp = laurent_at_1(BarnesParams(alpha, p.v, p.w), k_max, cfg)
-        return np.array([exp.gamma_minus1, *exp.gammas])
-
-    return central_difference(vec, p.alpha, cfg.fd_step)[0]
 
 
 def verify_theorem2_altsum(p: BarnesParams, k_max: int = 3,
@@ -250,7 +240,7 @@ def verify_theorem2_altsum(p: BarnesParams, k_max: int = 3,
     tol = 1e-4 if tol is None else tol
     checks = []
     try:
-        d1 = _laurent1_alpha_derivative(p, k_max, cfg)  # index l+1
+        d1 = _alpha_slope(p, 1.0, k_max, cfg)  # index l+1
         exp2 = laurent_at_2(p, k_max, cfg)
         for k in range(k_max + 1):
             acc = sum((-1) ** (k - l + 1) * d1[l + 1] for l in range(-1, k + 1))

@@ -28,6 +28,40 @@ RAW_STIELTJES_1 = (
     9.6890419394470833e-05,      # g_4 = gamma_4 / 24
 )
 
+# Raw Laurent coefficients g_{-1}..g_12 of zeta_2(s, alpha; v, v) about
+# s = 1 and s = 2, keyed by (alpha, v, center).  From the closed form
+# zeta_2 = v^-s [zeta_H(s-1, a) + (1-a) zeta_H(s, a)], a = alpha/v, in
+# mpmath at 40 digits: mpmath.taylor (quadrature on a circle of radius
+# 1/4) of zeta_2(s) - residue/(s - center), which agreed to 1e-36 with
+# the series product of mpmath's Stieltjes constants and zeta
+# derivatives.
+LAURENT_V_EQ_W = {
+    (0.7, 1.0, 1): (
+        0.30000000000000004, 0.1660070661093805, -0.5060621414644269,
+        -0.9009392192750408, -0.98973799062118, -0.9991186080501285,
+        -0.9999141608445499, -0.9999967841900506, -0.9999998891098326,
+        -0.9999999709003624, -1.0000000009527785, -1.0000000000061589,
+        -0.9999999999874504, -1.0000000000011493),
+    (0.7, 1.0, 2): (
+        1.0, 2.0702383007063183, 0.42682050707492025, 0.43604489878859715,
+        -0.28528428327386957, 0.30136462526946584, -0.29989102436535986,
+        0.3000047303215292, -0.2999996880389142, 0.3000000218109795,
+        -0.30000000054245957, 0.30000000006994443, -0.29999999999742677,
+        0.29999999999948257),
+    (0.3, 0.5, 1): (
+        0.8, 1.5870131155625087, 0.531063499230836, -1.5187189010567792,
+        -3.0256546477812694, -3.707932711944588, -3.9297164407738636,
+        -3.9858985866544954, -3.997574695525076, -3.9996350007341883,
+        -3.999951172313749, -3.9999941212850456, -3.99999935656236,
+        -3.9999999354432076),
+    (0.3, 0.5, 2): (
+        4.0, 14.753001051256316, 13.241360482066836, 8.934291556363545,
+        2.4377332380414667, 1.7730778503308584, -0.5657456229427872,
+        0.8470035367001398, -0.7919156653368015, 0.8012166638218698,
+        -0.7998372411456818, 0.8000195957191437, -0.7999978552077777,
+        0.8000002151892919),
+}
+
 # gamma_0(1/2) = -psi(1/2) = Euler + 2 log 2 (raw == classical at k = 0).
 GAMMA0_HALF = 1.9635100260214235
 

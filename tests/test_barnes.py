@@ -78,6 +78,18 @@ class TestZeta2:
         # zeta_2(0, 1; 1, 1) = zeta(-1) = -1/12
         assert abs(zeta2(0.0, BarnesParams(1, 1, 1)) + 1.0 / 12.0) < 1e-11
 
+    def test_pole_hit_points(self):
+        # at s = 2 - 2j the outer correction j evaluates zeta_H at its pole,
+        # cancelled by the zero of (s)_{2j-1}; zeta_2(s, 1; 1, 1) = zeta(s-1)
+        # gives zeta(-3) = 1/120 and zeta(-5) = -1/252.  The s = -4 error
+        # is the known Re s < 0 cancellation, not the pole hit.
+        p = BarnesParams(1, 1, 1)
+        for s, exact, tol in ((-2.0, 1.0 / 120.0, 1e-6),
+                              (-4.0, -1.0 / 252.0, 1e-2)):
+            val = zeta2(s, p)
+            assert np.isfinite(val)
+            assert abs(val - exact) <= tol * abs(exact)
+
     def test_agrees_with_direct_within_tail(self):
         rng = np.random.default_rng(3)
         for _ in range(4):

@@ -112,6 +112,14 @@ class TestStieltjes:
             raw = (-1) ** k / math.factorial(k) * classical
             assert abs(table.gammas[k] - raw) < 1e-10
 
+    def test_within_error_bars_vs_mpmath(self):
+        for a in (0.05, 0.3, 1.0):
+            table = stieltjes_constants(a, 10)
+            for k in range(11):
+                raw = ((-1) ** k / math.factorial(k)
+                       * float(mpmath.stieltjes(k, a)))
+                assert abs(table.gammas[k] - raw) <= table.errs[k], (a, k)
+
     def test_half_argument_gamma0(self):
         table = stieltjes_constants(0.5, 0)
         assert abs(table.gammas[0] - GAMMA0_HALF) < 1e-10

@@ -1,6 +1,6 @@
-"""Laurent coefficients of the double zeta at both poles, by contour
-extraction, the closed integral form of the s=2 constant term, and the
-finite-M limit formulas."""
+"""Laurent coefficients of the double zeta at both poles, from the
+Euler-Maclaurin jet, the closed integral form of the s=2 constant term,
+and the finite-M limit formulas."""
 
 import math
 
@@ -21,7 +21,7 @@ from barneszeta import (
     zeta2,
 )
 
-from conftest import EULER, RAW_STIELTJES_1, ZETA_PRIME_0
+from conftest import EULER, LAURENT_V_EQ_W, RAW_STIELTJES_1, ZETA_PRIME_0
 
 
 class TestResidues:
@@ -96,19 +96,36 @@ class TestLaurentAt1:
             assert abs(exp.evaluate(s) - zeta2(s, p)) < 1e-8
 
 
+class TestJetAgainstMpmath:
+    @pytest.mark.parametrize("key", sorted(LAURENT_V_EQ_W),
+                             ids=lambda k: f"alpha={k[0]},v=w={k[1]},s={k[2]}")
+    def test_orders_minus1_to_12(self, key):
+        alpha, v, center = key
+        fn = laurent_at_1 if center == 1 else laurent_at_2
+        exp = fn(BarnesParams(alpha, v, v), 12)
+        assert exp.method == "em"
+        got = (exp.gamma_minus1, *exp.gammas)
+        bars = (exp.err_minus1, *exp.errs)
+        for k, (g, e, ref) in enumerate(zip(got, bars, LAURENT_V_EQ_W[key]),
+                                        start=-1):
+            err = abs(g - ref)
+            assert err <= 1e-11 * max(1.0, abs(ref)), (k, err)
+            assert err <= e, (k, err, e)
+
+
 class TestExpansionDataclass:
     def test_center_validation(self):
         with pytest.raises(ValueError):
             LaurentExpansion(center=3, gamma_minus1=0.0, err_minus1=0.0,
-                             gammas=(), errs=(), method="contour")
+                             gammas=(), errs=(), method="em")
         with pytest.raises(ValueError):
             LaurentExpansion(center=2, gamma_minus1=0.0, err_minus1=0.0,
-                             gammas=(1.0,), errs=(), method="contour")
+                             gammas=(1.0,), errs=(), method="em")
 
     def test_evaluate_principal_part(self):
         exp = LaurentExpansion(center=2, gamma_minus1=3.0, err_minus1=0.0,
                                gammas=(1.0, 2.0), errs=(0.0, 0.0),
-                               method="contour")
+                               method="em")
         s = 2.5
         assert exp.evaluate(s) == 3.0 / 0.5 + 1.0 + 2.0 * 0.5
 

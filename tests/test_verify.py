@@ -45,6 +45,25 @@ class TestCheckPlumbing:
         c = _make_check("roundtrip", 2.0, 2.5, 1e-3)
         assert Check.from_dict(c.to_dict()) == c
 
+    def test_failed_check_carries_exception_text(self, monkeypatch):
+        import barneszeta.verify as verify_mod
+
+        def broken(p, cfg):
+            raise RuntimeError("quadrature went away")
+
+        monkeypatch.setattr(verify_mod, "gamma0_at_2_integral", broken)
+        rep = verify_theorem1(BarnesParams(1, 1, 1), k_max=0)
+        bad = next(c for c in rep.checks if c.id == "gamma0_integral_rep")
+        assert not bad.passed
+        assert bad.error == "quadrature went away"
+        assert Check.from_dict(bad.to_dict()) == bad
+        # the other checks did not raise, and a record without the key
+        # reads back as None
+        ok = next(c for c in rep.checks if c.id == "residue_s2")
+        assert ok.error is None
+        legacy = {k: v for k, v in ok.to_dict().items() if k != "error"}
+        assert Check.from_dict(legacy) == ok
+
 
 class TestReport:
     def _report(self):
@@ -110,7 +129,7 @@ class TestTheorem2:
                 BarnesParams(alpha, 1.0, 1.0), 0)[0].real
 
         for alpha in (0.5, 1.0, 1.7):
-            val, _ = central_difference(f, alpha, 1e-2, order=1)
+            val, _ = central_difference(f, alpha, 1e-2)
             assert abs(-val - (1.0 - alpha)) < 1e-8
 
     def test_fd_order_two(self):
@@ -121,12 +140,20 @@ class TestTheorem2:
             return zeta2_s_derivatives_at_0(
                 BarnesParams(alpha, 1.0, 1.0), 1)[1].real
 
-        exact, _ = central_difference(f, 0.8, 2e-2, order=1)
-        e_h = abs(central_difference(f, 0.8, 0.2, order=1,
-                                     refine=False)[0] - exact)
-        e_h2 = abs(central_difference(f, 0.8, 0.1, order=1,
-                                      refine=False)[0] - exact)
+        exact, _ = central_difference(f, 0.8, 2e-2)
+        e_h = abs(central_difference(f, 0.8, 0.2)[0] - exact)
+        e_h2 = abs(central_difference(f, 0.8, 0.1)[0] - exact)
         assert e_h2 * 3.0 < e_h
+
+    def test_small_alpha_reports_every_order(self):
+        # alpha below fd_step: the alpha step shrinks to alpha/4, so each
+        # order gets a real check instead of one failed suite
+        rep = verify_theorem2_derivative(BarnesParams(0.004, 1, 1), k_max=0)
+        assert {c.id for c in rep.checks} == {"deriv_k-1", "deriv_k+0"}
+        for c in rep.checks:
+            assert math.isfinite(c.lhs) and math.isfinite(c.rhs)
+            assert c.error is None
+        assert next(c for c in rep.checks if c.id == "deriv_k-1").passed
 
     def test_altsum_unit_parameters(self):
         rep = verify_theorem2_altsum(BarnesParams(1, 1, 1), k_max=3)
