@@ -15,7 +15,6 @@ from .barnes import (
     zeta2_integral_rep,
     zeta2_s_derivatives_at_0,
 )
-from .config import EvalConfig
 from .errors import (
     AccuracyError,
     BarnesZetaError,
@@ -41,7 +40,6 @@ from .laurent import (
 )
 from .numerics import (
     ContourSpec,
-    QuadratureSpec,
     bernoulli_numbers,
     contour_coefficients,
     frac_part_integral_1d,

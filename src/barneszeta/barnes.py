@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EvalConfig, DEFAULT_CONFIG
+from .config import DIRECT_M, EM_ORDER
 from .errors import DomainError, PoleError
 from .hurwitz import _hurwitz_jet, hurwitz_zeta
 from .numerics import (
@@ -53,7 +53,8 @@ def zeta2_direct(s, p: BarnesParams, M: int, with_error: bool = False):
     """Truncated double sum sum_{m,n<=M} (alpha+m*v+n*w)^(-s), Re(s) > 2.
 
     Monotone increasing in M for real s > 2.  ``with_error`` also returns
-    an analytic bound on the discarded tail.
+    an error bound: the discarded tail plus float64 rounding, which is
+    2^-52 (|s| max |log A| + log2 of the term count) times sum |A^-s|.
     """
     s = complex(s)
     if s.real <= 2:
@@ -63,13 +64,20 @@ def zeta2_direct(s, p: BarnesParams, M: int, with_error: bool = False):
     alpha, v, w = p.alpha, p.v, p.w
     n = np.arange(M + 1)
     total = 0.0 + 0.0j
+    abs_total = 0.0
     chunk = max(1, 4_000_000 // (M + 1))
     for lo in range(0, M + 1, chunk):
         m = np.arange(lo, min(lo + chunk, M + 1))
         grid = alpha + v * m[:, None] + w * n[None, :]
-        total += (grid ** (-s)).sum()
+        terms = grid ** (-s)
+        total += terms.sum()
+        if with_error:
+            abs_total += float(np.abs(terms).sum())
     if not with_error:
         return total
+    log_max = max(abs(math.log(alpha)), abs(math.log(alpha + (v + w) * M)))
+    rounding = 2.0 ** -52 * abs_total * (abs(s) * log_max
+                                         + math.log2((M + 1) ** 2))
     # Union bound over the two half-strips m > M and n > M.
     sig = s.real
     a_v, a_w = alpha + v * M, alpha + w * M
@@ -77,10 +85,10 @@ def zeta2_direct(s, p: BarnesParams, M: int, with_error: bool = False):
             + a_v ** (2 - sig) / (v * w * (sig - 1) * (sig - 2))
             + a_w ** (1 - sig) / (w * (sig - 1))
             + a_w ** (2 - sig) / (v * w * (sig - 1) * (sig - 2)))
-    return total, tail
+    return total, tail + rounding
 
 
-def _zeta2_jet(c, p: BarnesParams, n: int, cfg: EvalConfig):
+def _zeta2_jet(c, p: BarnesParams, n: int):
     """Jet of zeta_2(s, alpha; v, w) about s = c, slots eps^-1..eps^n.
 
     Row decomposition sum_m w^(-s) zeta_H(s, (alpha+m*v)/w) with the outer
@@ -90,12 +98,12 @@ def _zeta2_jet(c, p: BarnesParams, n: int, cfg: EvalConfig):
     zeta_H(s+2j-1) at the cut a_M.  c may be an array.
     """
     alpha, v, w = p.alpha, p.v, p.w
-    m_len, j_len = cfg.direct_M, cfg.em_order
+    m_len, j_len = DIRECT_M, EM_ORDER
     c = np.asarray(c, dtype=complex)
     odd = 2 * np.arange(1, j_len + 1) - 1
     shifts = np.concatenate([np.zeros(m_len), [-1.0, 0.0], odd])
     rows = np.minimum(np.arange(m_len + j_len + 2), m_len)  # cut row M repeats
-    zh = _hurwitz_jet(c[..., None] + shifts, (alpha + v * rows) / w, n, cfg)
+    zh = _hurwitz_jet(c[..., None] + shifts, (alpha + v * rows) / w, n)
     head = zh[..., :m_len, :].sum(axis=-2)
     mid = (w / v) * _jet_mul(_jet_recip(c, n), zh[..., m_len, :]) \
         + 0.5 * zh[..., m_len + 1, :]
@@ -103,7 +111,7 @@ def _zeta2_jet(c, p: BarnesParams, n: int, cfg: EvalConfig):
     return _jet_mul(_jet_pow(w, c, n), head + mid + tail)
 
 
-def zeta2(s, p: BarnesParams, cfg: EvalConfig = DEFAULT_CONFIG):
+def zeta2(s, p: BarnesParams):
     """zeta_2(s, alpha; v, w) for s away from the poles at 1 and 2.
 
     The eps^0 slot of the Euler-Maclaurin jet about s.  Accepts scalar or
@@ -114,13 +122,13 @@ def zeta2(s, p: BarnesParams, cfg: EvalConfig = DEFAULT_CONFIG):
         raise PoleError(1)
     if np.any(s_in == 2.0):
         raise PoleError(2)
-    out = _zeta2_jet(s_in, p, 1, cfg)[..., 1]
+    out = _zeta2_jet(s_in, p, 1)[..., 1]
     if s_in.ndim == 0:
         return complex(out)
     return out
 
 
-def zeta2_integral_rep(s, p: BarnesParams, cfg: EvalConfig = DEFAULT_CONFIG):
+def zeta2_integral_rep(s, p: BarnesParams):
     """Seven-term integral representation of zeta_2, valid for Re(s) > 1.
 
     Closed Hurwitz terms, a rational term carrying both poles, two 1-D and
@@ -133,37 +141,35 @@ def zeta2_integral_rep(s, p: BarnesParams, cfg: EvalConfig = DEFAULT_CONFIG):
     if s in (1.0 + 0j, 2.0 + 0j):
         raise PoleError(int(s.real))
     alpha, v, w = p.alpha, p.v, p.w
-    quad = cfg.quad
     value = (
         -alpha ** (-s)
-        + v ** (-s) * hurwitz_zeta(s, alpha / v, cfg)
-        + w ** (-s) * hurwitz_zeta(s, alpha / w, cfg)
+        + v ** (-s) * hurwitz_zeta(s, alpha / v)
+        + w ** (-s) * hurwitz_zeta(s, alpha / w)
         + alpha ** (2.0 - s) / (v * w * (s - 1.0) * (s - 2.0))
-        - (w / v) * frac_part_integral_1d(alpha, w, s, quad)
-        - (v / w) * frac_part_integral_1d(alpha, v, s, quad)
-        + v * w * s * (s + 1.0) * frac_part_integral_2d(alpha, v, w, s + 2.0, quad)
+        - (w / v) * frac_part_integral_1d(alpha, w, s)
+        - (v / w) * frac_part_integral_1d(alpha, v, s)
+        + v * w * s * (s + 1.0) * frac_part_integral_2d(alpha, v, w, s + 2.0)
     )
     return value
 
 
-def zeta2_s_derivatives_at_0(p: BarnesParams, k_max: int,
-                             cfg: EvalConfig = DEFAULT_CONFIG):
+def zeta2_s_derivatives_at_0(p: BarnesParams, k_max: int):
     """Derivatives d^k/ds^k zeta_2(s, alpha; v, w) at s = 0, k = 0..k_max.
 
     k! times the Taylor coefficients of the Euler-Maclaurin jet about 0.
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
-    jet = _zeta2_jet(0.0, p, k_max + 1, cfg)
+    jet = _zeta2_jet(0.0, p, k_max + 1)
     return [math.factorial(k) * complex(jet[k + 1]) for k in range(k_max + 1)]
 
 
-def log_gamma2(p: BarnesParams, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def log_gamma2(p: BarnesParams) -> float:
     """log Gamma_2(alpha; v, w), i.e. the first s-derivative of zeta_2 at 0."""
-    return zeta2_s_derivatives_at_0(p, 1, cfg)[1].real
+    return zeta2_s_derivatives_at_0(p, 1)[1].real
 
 
-def polygamma2(k: int, p: BarnesParams, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def polygamma2(k: int, p: BarnesParams) -> float:
     """k-th derivative in alpha of log Gamma_2(alpha; v, w), any k >= 0.
 
     d^k/dalpha^k zeta_2(s) = (-1)^k (s)_k zeta_2(s+k) with (s)_k = (k-1)! s
@@ -173,7 +179,7 @@ def polygamma2(k: int, p: BarnesParams, cfg: EvalConfig = DEFAULT_CONFIG) -> flo
     if k < 0:
         raise ValueError("k must be non-negative")
     if k == 0:
-        return log_gamma2(p, cfg)
-    jet = _zeta2_jet(float(k), p, 1, cfg).real
+        return log_gamma2(p)
+    jet = _zeta2_jet(float(k), p, 1).real
     harmonic = sum(1.0 / i for i in range(1, k))
     return (-1) ** k * math.factorial(k - 1) * float(jet[1] + harmonic * jet[0])

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: eval, laurent, special, verify.  Output is JSON on stdout
-(schema_version "1"); verify can also write CSV.  Exit codes: 0 success,
-1 verification failure, 2 pole hit, 64 usage error.
+(schema_version "1"); verify can also write CSV.  Every record echoes the
+fixed truncations as ``config``; there are no precision flags.  Exit codes:
+0 success, 1 verification failure, 2 pole hit, 3 accuracy not reached
+(s beyond the evaluators' reach), 64 usage error.
 """
 
 from __future__ import annotations
@@ -18,18 +20,18 @@ import time
 
 from .barnes import BarnesParams, log_gamma2, polygamma2, zeta2, zeta2_direct, \
     zeta2_integral_rep
-from .config import EvalConfig
-from .errors import PoleError
+from .config import DIRECT_M, QUAD_TAIL_TOL, SNAPSHOT
+from .errors import AccuracyError, PoleError
 from .hurwitz import stieltjes_constants
 from .laurent import gammak_at_2_limit, laurent_at_1, laurent_at_2, \
     residue_at_1, residue_at_2
-from .numerics import QuadratureSpec
 from .verify import run_suites
 
 SCHEMA_VERSION = "1"
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_POLE = 2
+EXIT_ACCURACY = 3
 EXIT_USAGE = 64
 
 _COMPLEX_RE = re.compile(
@@ -66,27 +68,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_config_args(sp):
-    sp.add_argument("--M", type=int, default=None,
-                    help="outer Euler-Maclaurin truncation (also direct-sum M)")
-    sp.add_argument("--em-order", type=int, default=None)
-    sp.add_argument("--quad-tol", type=float, default=None)
-    sp.add_argument("--fd-step", type=float, default=None)
-
-
-def _config_from(args) -> EvalConfig:
-    kw = {}
-    if args.M is not None:
-        kw["direct_M"] = args.M
-    if args.em_order is not None:
-        kw["em_order"] = args.em_order
-    if args.quad_tol is not None:
-        kw["quad"] = QuadratureSpec(tail_tol=args.quad_tol)
-    if args.fd_step is not None:
-        kw["fd_step"] = args.fd_step
-    return EvalConfig(**kw)
-
-
 def _params_from(args) -> BarnesParams:
     return BarnesParams(args.alpha, args.v, args.w)
 
@@ -96,11 +77,11 @@ def _emit(record: dict):
     sys.stdout.write("\n")
 
 
-def _record(args, cfg, started, **fields) -> dict:
+def _record(args, started, **fields) -> dict:
     rec = {
         "schema_version": SCHEMA_VERSION,
         "command": vars_echo(args),
-        "config": cfg.snapshot(),
+        "config": SNAPSHOT,
         "wall_time_ms": _num((time.perf_counter() - started) * 1000.0),
     }
     rec.update(fields)
@@ -118,7 +99,6 @@ def vars_echo(args) -> dict:
 
 def _cmd_eval(args) -> int:
     started = time.perf_counter()
-    cfg = _config_from(args)
     p = _params_from(args)
     s = args.s
     if s in (1.0 + 0j, 2.0 + 0j) and not args.laurent_fallback:
@@ -128,18 +108,18 @@ def _cmd_eval(args) -> int:
     try:
         if s in (1.0 + 0j, 2.0 + 0j):
             # --laurent-fallback: report the regular part at the pole
-            exp = (laurent_at_1 if s.real == 1.0 else laurent_at_2)(p, 0, cfg)
+            exp = (laurent_at_1 if s.real == 1.0 else laurent_at_2)(p, 0)
             value, err, method = complex(exp.gammas[0]), exp.errs[0], "laurent"
         elif method == "direct":
-            value, err = zeta2_direct(s, p, cfg.direct_M * 32, with_error=True)
+            value, err = zeta2_direct(s, p, 32 * DIRECT_M, with_error=True)
         elif method == "integral":
-            value, err = zeta2_integral_rep(s, p, cfg), cfg.quad.tail_tol * 8
+            value, err = zeta2_integral_rep(s, p), QUAD_TAIL_TOL * 8
         else:
-            value, err = zeta2(s, p, cfg), None
+            value, err = zeta2(s, p), None
     except PoleError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_POLE
-    rec = _record(args, cfg, started,
+    rec = _record(args, started,
                   value={"re": _num(value.real), "im": _num(value.imag)},
                   est_error=(None if err is None else _num(err)),
                   method=method)
@@ -149,30 +129,26 @@ def _cmd_eval(args) -> int:
 
 def _cmd_laurent(args) -> int:
     started = time.perf_counter()
-    cfg = _config_from(args)
     p = _params_from(args)
     exact = residue_at_2(p) if args.pole == 2 else residue_at_1(p)
     if args.method == "limit":
         if args.pole != 2:
             sys.stderr.write("limit-formula route exists only for pole 2\n")
             return EXIT_USAGE
-        m_list = None
-        if args.M is not None:
-            m_list = [max(16, args.M >> k) for k in range(6, -1, -1)]
         values, errs = [], []
         for k in range(args.kmax + 1):
-            val, err = gammak_at_2_limit(p, k, m_list)
+            val, err = gammak_at_2_limit(p, k)
             values.append(val)
             errs.append(err)
-        rec = _record(args, cfg, started,
+        rec = _record(args, started,
                       pole=args.pole, method="limit_formula",
                       exact_residue=_num(exact),
                       gammas=[_num(v) for v in values],
                       est_errors=[_num(e) for e in errs])
     else:
         fn = laurent_at_2 if args.pole == 2 else laurent_at_1
-        exp = fn(p, args.kmax, cfg)
-        rec = _record(args, cfg, started,
+        exp = fn(p, args.kmax)
+        rec = _record(args, started,
                       pole=args.pole, method=exp.method,
                       gamma_minus1=_num(exp.gamma_minus1),
                       exact_residue=_num(exact),
@@ -185,25 +161,24 @@ def _cmd_laurent(args) -> int:
 
 def _cmd_special(args) -> int:
     started = time.perf_counter()
-    cfg = _config_from(args)
     if args.what == "stieltjes":
         if args.a is None:
             sys.stderr.write("--a is required for stieltjes\n")
             return EXIT_USAGE
-        table = stieltjes_constants(args.a, args.kmax, cfg)
-        rec = _record(args, cfg, started, what=args.what, a=table.a,
+        table = stieltjes_constants(args.a, args.kmax)
+        rec = _record(args, started, what=args.what, a=table.a,
                       gammas=[_num(g) for g in table.gammas],
                       est_errors=[_num(e) for e in table.errs])
     else:
         p = _params_from(args)
         if args.what == "gamma2":
-            value = log_gamma2(p, cfg)
-            rec = _record(args, cfg, started, what=args.what,
+            value = log_gamma2(p)
+            rec = _record(args, started, what=args.what,
                           log_gamma2=_num(value),
                           gamma2=_num(math.exp(value)))
         else:  # polygamma
-            value = polygamma2(args.k, p, cfg)
-            rec = _record(args, cfg, started, what=args.what, k=args.k,
+            value = polygamma2(args.k, p)
+            rec = _record(args, started, what=args.what, k=args.k,
                           value=_num(value))
     _emit(rec)
     return EXIT_OK
@@ -211,7 +186,6 @@ def _cmd_special(args) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    cfg = _config_from(args)
     seed = None
     env_seed = os.environ.get("BARNES_ZETA_SEED")
     if env_seed is not None:
@@ -220,9 +194,9 @@ def _cmd_verify(args) -> int:
         except ValueError:
             sys.stderr.write("BARNES_ZETA_SEED must be a decimal integer\n")
             return EXIT_USAGE
-    reports = run_suites((args.suite,), tol=args.tol, cfg=cfg, seed=seed)
+    reports = run_suites((args.suite,), tol=args.tol, seed=seed)
     all_pass = all(r.passed for r in reports)
-    rec = _record(args, cfg, started, suites=[r.to_dict() for r in reports])
+    rec = _record(args, started, suites=[r.to_dict() for r in reports])
     rec["pass"] = all_pass
     _emit(rec)
     if args.csv:
@@ -247,7 +221,6 @@ def build_parser() -> _Parser:
     pe.add_argument("--method", choices=["auto", "direct", "em", "integral"],
                     default="auto")
     pe.add_argument("--laurent-fallback", action="store_true")
-    _add_config_args(pe)
     pe.set_defaults(func=_cmd_eval)
 
     pl = sub.add_parser("laurent", help="Laurent coefficients at a pole")
@@ -257,7 +230,6 @@ def build_parser() -> _Parser:
     pl.add_argument("--w", type=float, required=True)
     pl.add_argument("--kmax", type=int, default=2)
     pl.add_argument("--method", choices=["em", "limit"], default="em")
-    _add_config_args(pl)
     pl.set_defaults(func=_cmd_laurent)
 
     ps = sub.add_parser("special", help="Stieltjes constants / Gamma2 / psi2")
@@ -269,7 +241,6 @@ def build_parser() -> _Parser:
     ps.add_argument("--alpha", type=float, default=1.0)
     ps.add_argument("--v", type=float, default=1.0)
     ps.add_argument("--w", type=float, default=1.0)
-    _add_config_args(ps)
     ps.set_defaults(func=_cmd_special)
 
     pv = sub.add_parser("verify", help="run identity-verification suites")
@@ -278,7 +249,6 @@ def build_parser() -> _Parser:
                     default="all")
     pv.add_argument("--tol", type=float, default=None)
     pv.add_argument("--csv", type=str, default=None)
-    _add_config_args(pv)
     pv.set_defaults(func=_cmd_verify)
     return parser
 
@@ -293,6 +263,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except AccuracyError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_ACCURACY
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

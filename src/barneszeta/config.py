@@ -1,61 +1,37 @@
-"""Evaluation configuration shared by the zeta evaluators."""
+"""Fixed truncations of the zeta evaluators and quadratures.
 
-from __future__ import annotations
+DIRECT_M         outer truncation of the row-wise Euler-Maclaurin sum
+                 (the reference ``eval --method direct`` sums 32*DIRECT_M)
+EM_ORDER         number of even-index Bernoulli correction terms (outer)
+HURWITZ_M        head length of the Hurwitz zeta Euler-Maclaurin sum
+HURWITZ_J        Bernoulli correction terms inside the Hurwitz evaluator
+QUAD_CELL_ORDER  Gauss-Legendre points per unit cell of the sawtooth integrals
+QUAD_MAX_CELLS   hard cap on the number of cells
+QUAD_TAIL_TOL    absolute tolerance allotted to the analytic tail
+FD_STEP          central-difference step of the verify alpha-derivatives
+                 (capped at alpha/4)
 
-from dataclasses import dataclass, field, replace
+SNAPSHOT echoes them in every JSON record as the ``config`` object.
+"""
 
-from .numerics import QuadratureSpec
+DIRECT_M = 64
+EM_ORDER = 10
+HURWITZ_M = 64
+HURWITZ_J = 12
+QUAD_CELL_ORDER = 12
+QUAD_MAX_CELLS = 200_000
+QUAD_TAIL_TOL = 1e-10
+FD_STEP = 5e-3
 
-__all__ = ["EvalConfig"]
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Precision knobs.
-
-    direct_M      outer truncation of the row-wise Euler-Maclaurin sum
-                  (the reference ``eval --method direct`` sums 32*direct_M)
-    em_order      number of even-index Bernoulli correction terms (outer)
-    hurwitz_M     head length of the Hurwitz zeta Euler-Maclaurin sum
-    hurwitz_J     Bernoulli correction terms inside the Hurwitz evaluator
-    quad          sawtooth-integral quadrature spec
-    fd_step       central-difference step of the verify alpha-derivatives
-                  (capped at alpha/4)
-    """
-
-    direct_M: int = 64
-    em_order: int = 10
-    hurwitz_M: int = 64
-    hurwitz_J: int = 12
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
-    fd_step: float = 5e-3
-
-    def __post_init__(self):
-        if self.direct_M < 8:
-            raise ValueError("direct_M must be >= 8")
-        if not 1 <= self.em_order <= 32:
-            raise ValueError("em_order must be in 1..32")
-        if self.hurwitz_M < 2 or not 1 <= self.hurwitz_J <= 16:
-            raise ValueError("bad hurwitz truncation")
-        if not self.fd_step > 0:
-            raise ValueError("fd_step must be positive")
-
-    def with_(self, **kwargs) -> "EvalConfig":
-        return replace(self, **kwargs)
-
-    def snapshot(self) -> dict:
-        return {
-            "direct_M": self.direct_M,
-            "em_order": self.em_order,
-            "hurwitz_M": self.hurwitz_M,
-            "hurwitz_J": self.hurwitz_J,
-            "quad": {
-                "cell_order": self.quad.cell_order,
-                "max_cells": self.quad.max_cells,
-                "tail_tol": self.quad.tail_tol,
-            },
-            "fd_step": self.fd_step,
-        }
-
-
-DEFAULT_CONFIG = EvalConfig()
+SNAPSHOT = {
+    "direct_M": DIRECT_M,
+    "em_order": EM_ORDER,
+    "hurwitz_M": HURWITZ_M,
+    "hurwitz_J": HURWITZ_J,
+    "quad": {
+        "cell_order": QUAD_CELL_ORDER,
+        "max_cells": QUAD_MAX_CELLS,
+        "tail_tol": QUAD_TAIL_TOL,
+    },
+    "fd_step": FD_STEP,
+}

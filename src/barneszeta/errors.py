@@ -18,7 +18,7 @@ class PoleError(BarnesZetaError, ZeroDivisionError):
 
 
 class AccuracyError(BarnesZetaError, ArithmeticError):
-    """Requested accuracy could not be reached within the configured budget.
+    """Requested accuracy could not be reached within the fixed truncation.
 
     Carries the best value obtained so far in ``value`` and the achieved
     error bound in ``achieved``.

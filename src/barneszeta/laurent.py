@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barnes import BarnesParams, _zeta2_jet
-from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import ConsistencyError
 from .hurwitz import hurwitz_zeta
 from .numerics import (
@@ -78,10 +77,10 @@ def residue_at_1(p: BarnesParams) -> float:
     return (p.v + p.w - 2.0 * p.alpha) / (2.0 * p.v * p.w)
 
 
-def _laurent_jet(p, center, exact_residue, k_max, cfg):
+def _laurent_jet(p, center, exact_residue, k_max):
     if not 0 <= k_max <= 12:
         raise ValueError("k_max must be in 0..12")
-    jet = _zeta2_jet(float(center), p, k_max + 1, cfg).real
+    jet = _zeta2_jet(float(center), p, k_max + 1).real
     g_m1 = float(jet[0])
     gammas = tuple(float(g) for g in jet[1:k_max + 2])
     return LaurentExpansion(
@@ -94,20 +93,17 @@ def _laurent_jet(p, center, exact_residue, k_max, cfg):
     )
 
 
-def laurent_at_2(p: BarnesParams, k_max: int,
-                 cfg: EvalConfig = DEFAULT_CONFIG) -> LaurentExpansion:
+def laurent_at_2(p: BarnesParams, k_max: int) -> LaurentExpansion:
     """Coefficients g_{-1}..g_k_max of zeta_2 about s = 2 (jet route)."""
-    return _laurent_jet(p, 2, residue_at_2(p), k_max, cfg)
+    return _laurent_jet(p, 2, residue_at_2(p), k_max)
 
 
-def laurent_at_1(p: BarnesParams, k_max: int,
-                 cfg: EvalConfig = DEFAULT_CONFIG) -> LaurentExpansion:
+def laurent_at_1(p: BarnesParams, k_max: int) -> LaurentExpansion:
     """Coefficients g_{-1}..g_k_max of zeta_2 about s = 1 (jet route)."""
-    return _laurent_jet(p, 1, residue_at_1(p), k_max, cfg)
+    return _laurent_jet(p, 1, residue_at_1(p), k_max)
 
 
-def gamma0_at_2_integral(p: BarnesParams,
-                         cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def gamma0_at_2_integral(p: BarnesParams) -> float:
     """Constant term at s = 2 via the closed integral representation:
 
     g_0(2) = -1/alpha^2 - (1+log alpha)/(v w)
@@ -118,15 +114,14 @@ def gamma0_at_2_integral(p: BarnesParams,
     with I the 1-D and J the 2-D sawtooth integral at exponents 2 and 4.
     """
     alpha, v, w = p.alpha, p.v, p.w
-    quad = cfg.quad
     return float(
         -1.0 / alpha ** 2
         - (1.0 + math.log(alpha)) / (v * w)
-        + hurwitz_zeta(2.0, alpha / v, cfg).real / v ** 2
-        + hurwitz_zeta(2.0, alpha / w, cfg).real / w ** 2
-        - (w / v) * frac_part_integral_1d(alpha, w, 2.0, quad).real
-        - (v / w) * frac_part_integral_1d(alpha, v, 2.0, quad).real
-        + 6.0 * v * w * frac_part_integral_2d(alpha, v, w, 4.0, quad).real
+        + hurwitz_zeta(2.0, alpha / v).real / v ** 2
+        + hurwitz_zeta(2.0, alpha / w).real / w ** 2
+        - (w / v) * frac_part_integral_1d(alpha, w, 2.0).real
+        - (v / w) * frac_part_integral_1d(alpha, v, 2.0).real
+        + 6.0 * v * w * frac_part_integral_2d(alpha, v, w, 4.0).real
     )
 
 

@@ -8,16 +8,16 @@ extraction of Taylor/Laurent coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .config import QUAD_CELL_ORDER, QUAD_MAX_CELLS, QUAD_TAIL_TOL
 from .errors import AccuracyError, DomainError
 
 __all__ = [
     "ContourSpec",
-    "QuadratureSpec",
     "bernoulli_numbers",
     "frac_part_integral_1d",
     "frac_part_integral_2d",
@@ -55,28 +55,6 @@ class ContourSpec:
             raise ValueError("nodes must be >= 4*(max_order+1)")
         if self.nodes & (self.nodes - 1):
             raise ValueError("nodes must be a power of two")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Knobs for the sawtooth-kernel integrals.
-
-    ``cell_order`` Gauss-Legendre points per unit cell, a hard cap on the
-    number of cells, and the absolute tolerance allotted to the analytic
-    tail beyond the last cell.
-    """
-
-    cell_order: int = 12
-    max_cells: int = 200_000
-    tail_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.cell_order < 4:
-            raise ValueError("cell_order must be >= 4")
-        if not self.tail_tol > 0:
-            raise ValueError("tail_tol must be positive")
-        if self.max_cells < 1:
-            raise ValueError("max_cells must be >= 1")
 
 
 def bernoulli_numbers(n_max: int) -> list[float]:
@@ -190,80 +168,63 @@ def _frac1d_tail(a, c, s, n_cells):
     return tail
 
 
-def _frac1d_tail_bound(a_min, c, s, n_cells):
-    """Magnitude of the first omitted tail correction term."""
+def _frac1d_omitted(c, s):
+    """(k, q): the first omitted tail term is at most k (a+cN)^(-q)."""
     j = _TAIL_TERMS + 1
     coef = abs(_B[2 * j]) / math.factorial(2 * j)
-    sig = np.real(s)
-    return (
-        coef
-        * float(np.max(np.abs(_poch(s, 2 * j - 2))))
-        * c ** (2 * j - 2)
-        * (a_min + c * n_cells) ** (-sig - 2 * j + 2)
-    )
-
-
-def _frac1d_cells_needed(a_min, c, s, tol):
-    """Smallest N with the omitted tail term below tol/2."""
-    j = _TAIL_TERMS + 1
-    coef = abs(_B[2 * j]) / math.factorial(2 * j)
-    sig = float(np.real(s))
     k = coef * float(np.max(np.abs(_poch(s, 2 * j - 2)))) * c ** (2 * j - 2)
-    if k == 0.0:
-        return 1
-    base = (k / (0.5 * tol)) ** (1.0 / (sig + 2 * j - 2))
-    return max(1, int(math.ceil((base - a_min) / c)))
+    return k, float(np.real(s)) + 2 * j - 2
 
 
-def _frac1d_core(a, c, s, spec: QuadratureSpec):
+def _frac1d_core(a, c, s, tol):
     """Vectorized integral_0^inf (x-[x]) (a+cx)^(-s) dx over an array of a.
 
-    Returns (values, error_bound).  Caller guarantees Re(s) > 1 and a > 0.
+    ``tol`` is the absolute tolerance of the analytic tail.  Returns
+    (values, error_bound).  Caller guarantees Re(s) > 1 and a > 0.
     """
     a = np.asarray(a, dtype=float)
     a_min = float(np.min(a))
-    n_cells = _frac1d_cells_needed(a_min, c, s, spec.tail_tol)
-    clipped = n_cells > spec.max_cells
+    k, q = _frac1d_omitted(c, s)
+    # smallest N with the omitted tail term below tol/2
+    n_cells = 1 if k == 0.0 else max(
+        1, int(math.ceil(((k / (0.5 * tol)) ** (1.0 / q) - a_min) / c)))
+    clipped = n_cells > QUAD_MAX_CELLS
     if clipped:
-        n_cells = spec.max_cells
-    xi, wts = _gauss_cell(spec.cell_order)
+        n_cells = QUAD_MAX_CELLS
+    xi, wts = _gauss_cell(QUAD_CELL_ORDER)
     xs = np.arange(n_cells)[:, None] + xi[None, :]          # (cells, q)
     integrand = (a[..., None, None] + c * xs) ** (-s) * xi  # (..., cells, q)
     vals = np.tensordot(integrand, wts, axes=([-1], [0])).sum(axis=-1)
     vals = vals + _frac1d_tail(a, c, s, n_cells)
-    err = _frac1d_tail_bound(a_min, c, s, n_cells)
+    err = k * (a_min + c * n_cells) ** -q
     err += 1e-15 * float(np.max(np.abs(vals))) * math.sqrt(n_cells)
-    if clipped and err > spec.tail_tol:
+    if clipped and err > tol:
         raise AccuracyError(
-            f"tail tolerance {spec.tail_tol:g} not reached within "
-            f"{spec.max_cells} cells (achieved {err:g})",
+            f"tail tolerance {tol:g} not reached within "
+            f"{QUAD_MAX_CELLS} cells (achieved {err:g})",
             value=vals, achieved=err,
         )
     return vals, err
 
 
-def frac_part_integral_1d(a, c, s, spec: QuadratureSpec | None = None,
-                          with_error: bool = False):
+def frac_part_integral_1d(a, c, s, with_error: bool = False):
     """integral_0^inf (x-[x]) (a+cx)^(-s) dx for Re(s) > 1.
 
     Integrated cell-by-cell over [j, j+1] where the sawtooth is smooth,
     with an Euler-Maclaurin tail beyond the last cell.  ``with_error``
     additionally returns the absolute error bound.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     s = complex(s)
     if not (a > 0 and c > 0):
         raise ValueError("a and c must be positive")
     if s.real <= 1:
         raise DomainError("frac_part_integral_1d requires Re(s) > 1")
-    vals, err = _frac1d_core(np.asarray(a, dtype=float), c, s, spec)
+    vals, err = _frac1d_core(np.asarray(a, dtype=float), c, s, QUAD_TAIL_TOL)
     value = complex(vals)
     return (value, err) if with_error else value
 
 
-def frac_part_integral_2d(alpha, v, w, s, spec: QuadratureSpec | None = None,
-                          with_error: bool = False):
+def frac_part_integral_2d(alpha, v, w, s, with_error: bool = False):
     """integral_0^inf integral_0^inf (x-[x])(y-[y]) (alpha+v*y+w*x)^(-s) dx dy.
 
     Requires Re(s) > 2.  The inner x-integral is done by the 1-D sawtooth
@@ -272,49 +233,44 @@ def frac_part_integral_2d(alpha, v, w, s, spec: QuadratureSpec | None = None,
     tail applies again.  All y-derivatives of the inner integral reduce to
     further 1-D sawtooth integrals at shifted exponents.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     s = complex(s)
     if not (alpha > 0 and v > 0 and w > 0):
         raise ValueError("alpha, v, w must be positive")
     if s.real <= 2:
         raise DomainError("frac_part_integral_2d requires Re(s) > 2")
     sig = s.real
-
-    inner_spec = QuadratureSpec(cell_order=spec.cell_order,
-                                max_cells=spec.max_cells,
-                                tail_tol=spec.tail_tol / 10.0)
+    inner_tol = QUAD_TAIL_TOL / 10.0
 
     # Outer cell count: first omitted outer Euler-Maclaurin term, with the
     # inner integral at shift 2j-2 bounded by A^(3-sigma-2j)/(w*(sigma+2j-3)).
     j = _TAIL_TERMS + 1
     coef = abs(_B[2 * j]) / math.factorial(2 * j)
     k = coef * abs(_poch(s, 2 * j - 2)) * v ** (2 * j - 2) / (w * (sig + 2 * j - 3))
-    base = (k / (0.5 * spec.tail_tol)) ** (1.0 / (sig + 2 * j - 3))
+    base = (k / (0.5 * QUAD_TAIL_TOL)) ** (1.0 / (sig + 2 * j - 3))
     n_cells = max(1, int(math.ceil((base - alpha) / v)))
-    if n_cells > spec.max_cells:
+    if n_cells > QUAD_MAX_CELLS:
         raise AccuracyError(
-            f"outer cell budget exhausted ({n_cells} > {spec.max_cells})")
+            f"outer cell budget exhausted ({n_cells} > {QUAD_MAX_CELLS})")
 
-    xi, wts = _gauss_cell(spec.cell_order)
+    xi, wts = _gauss_cell(QUAD_CELL_ORDER)
     ys = (np.arange(n_cells)[:, None] + xi[None, :]).ravel()
-    inner_vals, inner_err = _frac1d_core(alpha + v * ys, w, s, inner_spec)
+    inner_vals, inner_err = _frac1d_core(alpha + v * ys, w, s, inner_tol)
     frac = np.tile(xi, n_cells)
     value = np.dot(inner_vals * frac, np.tile(wts, n_cells))
 
     # Outer tail about y = N: sawtooth mean plus periodic-Bernoulli corrections.
     a_n = alpha + v * n_cells
-    half, e0 = _frac1d_core(np.asarray(a_n), w, s - 1.0, inner_spec)
+    half, e0 = _frac1d_core(np.asarray(a_n), w, s - 1.0, inner_tol)
     tail = complex(half) / (2.0 * v * (s - 1.0))
     errs = [e0 / (2.0 * v * abs(s - 1.0))]
     for jj in range(1, _TAIL_TERMS + 1):
         cjj = _B[2 * jj] / math.factorial(2 * jj)
-        inner, ej = _frac1d_core(np.asarray(a_n), w, s + 2 * jj - 2, inner_spec)
+        inner, ej = _frac1d_core(np.asarray(a_n), w, s + 2 * jj - 2, inner_tol)
         tail = tail - cjj * _poch(s, 2 * jj - 2) * v ** (2 * jj - 2) * complex(inner)
         errs.append(abs(cjj) * abs(_poch(s, 2 * jj - 2)) * v ** (2 * jj - 2) * ej)
     value = complex(value) + tail
 
-    err = 0.5 * spec.tail_tol + inner_err * 0.5 * n_cells + sum(errs)
+    err = 0.5 * QUAD_TAIL_TOL + inner_err * 0.5 * n_cells + sum(errs)
     return (value, err) if with_error else value
 
 

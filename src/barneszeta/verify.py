@@ -10,6 +10,7 @@ checks, never raised.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barnes import BarnesParams, _zeta2_jet, zeta2
-from .config import EvalConfig, DEFAULT_CONFIG
+from .config import FD_STEP, SNAPSHOT
 from .hurwitz import hurwitz_zeta, stieltjes_constants
 from .laurent import (
     _counterterm,
@@ -108,7 +109,7 @@ class VerificationReport:
     suite: str
     checks: list
     params: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
+    config: dict = field(default_factory=lambda: copy.deepcopy(SNAPSHOT))
 
     def __post_init__(self):
         self.checks = sorted(self.checks, key=lambda c: c.id)
@@ -164,8 +165,8 @@ def _params_dict(p: BarnesParams) -> dict:
     return {"alpha": p.alpha, "v": p.v, "w": p.w}
 
 
-def verify_theorem1(p: BarnesParams, k_max: int = 2, tol: float | None = None,
-                    cfg: EvalConfig = DEFAULT_CONFIG) -> VerificationReport:
+def verify_theorem1(p: BarnesParams, k_max: int = 2,
+                    tol: float | None = None) -> VerificationReport:
     """Residue, constant-term integral form, and k-th limit formulas at s=2."""
     if not 0 <= k_max <= 4:
         raise ValueError("k_max must be in 0..4")
@@ -173,13 +174,13 @@ def verify_theorem1(p: BarnesParams, k_max: int = 2, tol: float | None = None,
     tol_int = TOL_CONTOUR if tol is None else tol
     checks = []
     try:
-        exp = laurent_at_2(p, k_max, cfg)
+        exp = laurent_at_2(p, k_max)
         checks.append(_make_check("residue_s2", exp.gamma_minus1,
                                   residue_at_2(p), TOL_EXACT))
         try:
             checks.append(_make_check("gamma0_integral_rep",
                                       exp.gammas[0],
-                                      gamma0_at_2_integral(p, cfg), tol_int))
+                                      gamma0_at_2_integral(p), tol_int))
         except Exception as exc:  # noqa: BLE001 - recorded, not raised
             checks.append(_failed_check("gamma0_integral_rep", exc, tol_int))
         for k in range(k_max + 1):
@@ -191,11 +192,10 @@ def verify_theorem1(p: BarnesParams, k_max: int = 2, tol: float | None = None,
                 checks.append(_failed_check(cid, exc, tol_limit))
     except Exception as exc:  # noqa: BLE001
         checks.append(_failed_check("residue_s2", exc, TOL_EXACT))
-    return VerificationReport("theorem1", checks, _params_dict(p),
-                              cfg.snapshot())
+    return VerificationReport("theorem1", checks, _params_dict(p))
 
 
-def _alpha_slope(p: BarnesParams, center: float, k_max: int, cfg: EvalConfig):
+def _alpha_slope(p: BarnesParams, center: float, k_max: int):
     """d/dalpha of the jet of zeta_2 about s = center, slots eps^-1..eps^k_max.
 
     A central difference on purpose: the alpha-identity is what the theorem-2
@@ -203,14 +203,13 @@ def _alpha_slope(p: BarnesParams, center: float, k_max: int, cfg: EvalConfig):
     """
     def jet(alpha):
         q = BarnesParams(alpha, p.v, p.w)
-        return _zeta2_jet(center, q, k_max + 1, cfg)[:k_max + 2].real
+        return _zeta2_jet(center, q, k_max + 1)[:k_max + 2].real
 
-    return central_difference(jet, p.alpha, min(cfg.fd_step, p.alpha / 4))[0]
+    return central_difference(jet, p.alpha, min(FD_STEP, p.alpha / 4))[0]
 
 
 def verify_theorem2_derivative(p: BarnesParams, k_max: int = 3,
-                               tol: float | None = None,
-                               cfg: EvalConfig = DEFAULT_CONFIG) -> VerificationReport:
+                               tol: float | None = None) -> VerificationReport:
     """g_k(1) = -d/dalpha of the (k+1)-st Taylor coefficient at s = 0.
 
     Checked for k = -1..k_max; k = -1 is the closed residue form.
@@ -220,39 +219,36 @@ def verify_theorem2_derivative(p: BarnesParams, k_max: int = 3,
     tol = TOL_CONTOUR if tol is None else tol
     checks = []
     try:
-        exp = laurent_at_1(p, k_max, cfg)
-        dcoef = _alpha_slope(p, 0.0, k_max + 1, cfg)  # index k+1 at order k
+        exp = laurent_at_1(p, k_max)
+        dcoef = _alpha_slope(p, 0.0, k_max + 1)  # index k+1 at order k
         for k in range(-1, k_max + 1):
             lhs = exp.gamma_minus1 if k == -1 else exp.gammas[k]
             checks.append(_make_check(f"deriv_k{k:+d}", lhs, -dcoef[k + 2], tol))
     except Exception as exc:  # noqa: BLE001
         checks.append(_failed_check("deriv_suite", exc, tol))
-    return VerificationReport("theorem2_derivative", checks, _params_dict(p),
-                              cfg.snapshot())
+    return VerificationReport("theorem2_derivative", checks, _params_dict(p))
 
 
 def verify_theorem2_altsum(p: BarnesParams, k_max: int = 3,
-                           tol: float | None = None,
-                           cfg: EvalConfig = DEFAULT_CONFIG) -> VerificationReport:
+                           tol: float | None = None) -> VerificationReport:
     """sum_{l=-1}^k (-1)^(k-l+1) d/dalpha g_l(1) = g_k(2), k = 0..k_max."""
     if not 0 <= k_max <= 3:
         raise ValueError("k_max must be in 0..3")
     tol = 1e-4 if tol is None else tol
     checks = []
     try:
-        d1 = _alpha_slope(p, 1.0, k_max, cfg)  # index l+1
-        exp2 = laurent_at_2(p, k_max, cfg)
+        d1 = _alpha_slope(p, 1.0, k_max)  # index l+1
+        exp2 = laurent_at_2(p, k_max)
         for k in range(k_max + 1):
             acc = sum((-1) ** (k - l + 1) * d1[l + 1] for l in range(-1, k + 1))
             checks.append(_make_check(f"altsum_k{k}", acc, exp2.gammas[k], tol))
     except Exception as exc:  # noqa: BLE001
         checks.append(_failed_check("altsum_suite", exc, tol))
-    return VerificationReport("theorem2_altsum", checks, _params_dict(p),
-                              cfg.snapshot())
+    return VerificationReport("theorem2_altsum", checks, _params_dict(p))
 
 
-def verify_reduction(p: BarnesParams, s_grid, tol: float = 1e-9,
-                     cfg: EvalConfig = DEFAULT_CONFIG) -> VerificationReport:
+def verify_reduction(p: BarnesParams, s_grid,
+                     tol: float = 1e-9) -> VerificationReport:
     """zeta_2(s, alpha; v, v) = v^-s [zeta_H(s-1, a) + (1-a) zeta_H(s, a)],
     a = alpha/v, on the supplied grid (which must avoid the poles)."""
     if p.v != p.w:
@@ -263,18 +259,17 @@ def verify_reduction(p: BarnesParams, s_grid, tol: float = 1e-9,
         s = complex(s)
         cid = f"reduction_{i:02d}_s={s.real:g}{s.imag:+g}i"
         try:
-            lhs = zeta2(s, p, cfg)
-            rhs = p.v ** (-s) * (hurwitz_zeta(s - 1.0, a, cfg)
-                                 + (1.0 - a) * hurwitz_zeta(s, a, cfg))
+            lhs = zeta2(s, p)
+            rhs = p.v ** (-s) * (hurwitz_zeta(s - 1.0, a)
+                                 + (1.0 - a) * hurwitz_zeta(s, a))
             checks.append(_make_check(cid, lhs, rhs, tol))
         except Exception as exc:  # noqa: BLE001
             checks.append(_failed_check(cid, exc, tol))
-    return VerificationReport("reduction", checks, _params_dict(p),
-                              cfg.snapshot())
+    return VerificationReport("reduction", checks, _params_dict(p))
 
 
-def verify_bounds(k_max: int = 10, a_list=(0.1, 0.3, 0.5, 1.0),
-                  cfg: EvalConfig = DEFAULT_CONFIG) -> VerificationReport:
+def verify_bounds(k_max: int = 10,
+                  a_list=(0.1, 0.3, 0.5, 1.0)) -> VerificationReport:
     """Classical upper bounds on the Laurent coefficients.
 
     Hurwitz case: |g_k(a) - (-1)^k log^k(a)/(a k!)| <= (3+(-1)^k)/(k pi^k)
@@ -287,21 +282,20 @@ def verify_bounds(k_max: int = 10, a_list=(0.1, 0.3, 0.5, 1.0),
     for a in a_list:
         if not 0 < a <= 1:
             raise ValueError("each a must be in (0, 1]")
-        table = stieltjes_constants(a, k_max, cfg)
+        table = stieltjes_constants(a, k_max)
         for k in range(1, k_max + 1):
             centred = abs(table.gammas[k]
                           - (-1) ** k * math.log(a) ** k / (a * math.factorial(k)))
             bound = (3 + (-1) ** k) / (k * math.pi ** k)
             checks.append(_bound_check(f"hurwitz_bound_a={a}_k={k}",
                                        centred, bound))
-    table1 = stieltjes_constants(1.0, k_max, cfg)
+    table1 = stieltjes_constants(1.0, k_max)
     for k in range(1, k_max + 1):
         bound = ((3 + (-1) ** k) * math.factorial(2 * k)
                  / (k ** (k + 1) * (2 * math.pi) ** k))
         checks.append(_bound_check(f"riemann_bound_k={k}",
                                    abs(table1.gammas[k]), bound))
-    return VerificationReport("bounds", checks, {"a_list": list(a_list)},
-                              cfg.snapshot())
+    return VerificationReport("bounds", checks, {"a_list": list(a_list)})
 
 
 @dataclass(frozen=True)
@@ -318,8 +312,7 @@ class CEstimate:
     per_alpha: tuple
 
 
-def estimate_C(p_grid, cfg: EvalConfig = DEFAULT_CONFIG,
-               m_list=(64, 128, 256, 512, 1024)) -> CEstimate:
+def estimate_C(p_grid, m_list=(64, 128, 256, 512, 1024)) -> CEstimate:
     """Estimate C(v, w) from >= 2 alpha samples sharing (v, w).
 
     For each alpha: C_M = [g_{-1}(1) - g_0(1)] + sum_{m,n<=M} 1/A
@@ -337,7 +330,7 @@ def estimate_C(p_grid, cfg: EvalConfig = DEFAULT_CONFIG,
     estimates, errs = [], []
     for q in ps:
         alpha, v, w = q.alpha, q.v, q.w
-        exp = laurent_at_1(q, 0, cfg)
+        exp = laurent_at_1(q, 0)
         diff = exp.gamma_minus1 - exp.gammas[0]
         sums = _lattice_log_sums(q, 0, m_list, power=1)
         ys, ms = [], []
@@ -373,7 +366,7 @@ def _reduction_grid():
 
 
 def run_suites(names=("all",), tol: float | None = None,
-               cfg: EvalConfig = DEFAULT_CONFIG, seed: int | None = None):
+               seed: int | None = None):
     """Run the named verification suites on the default parameter suite."""
     wanted = set(names)
     if "all" in wanted:
@@ -385,27 +378,27 @@ def run_suites(names=("all",), tol: float | None = None,
     reports = []
     if "theorem1" in wanted:
         for p in suite[:5]:
-            reports.append(verify_theorem1(p, k_max=2, tol=tol, cfg=cfg))
+            reports.append(verify_theorem1(p, k_max=2, tol=tol))
         for p in suite[5:]:
             # residues only on the random triples: cheap exactness probe
-            exp2 = laurent_at_2(p, 0, cfg)
-            exp1 = laurent_at_1(p, 0, cfg)
+            exp2 = laurent_at_2(p, 0)
+            exp1 = laurent_at_1(p, 0)
             reports.append(VerificationReport(
                 "theorem1_residues",
                 [_make_check("residue_s2", exp2.gamma_minus1,
                              residue_at_2(p), TOL_EXACT),
                  _make_check("residue_s1", exp1.gamma_minus1,
                              residue_at_1(p), TOL_EXACT)],
-                _params_dict(p), cfg.snapshot()))
+                _params_dict(p)))
     if "theorem2" in wanted:
         for p in suite[:5]:
-            reports.append(verify_theorem2_derivative(p, k_max=3, tol=tol, cfg=cfg))
-            reports.append(verify_theorem2_altsum(p, k_max=3, tol=tol, cfg=cfg))
+            reports.append(verify_theorem2_derivative(p, k_max=3, tol=tol))
+            reports.append(verify_theorem2_altsum(p, k_max=3, tol=tol))
     if "reduction" in wanted:
         grid = _reduction_grid()
         for p in (BarnesParams(1, 1, 1), BarnesParams(0.5, 1, 1),
                   BarnesParams(2, 2, 2)):
-            reports.append(verify_reduction(p, grid, tol=tol or 1e-9, cfg=cfg))
+            reports.append(verify_reduction(p, grid, tol=tol or 1e-9))
     if "bounds" in wanted:
-        reports.append(verify_bounds(cfg=cfg))
+        reports.append(verify_bounds())
     return reports

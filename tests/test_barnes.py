@@ -51,6 +51,14 @@ class TestDirect:
         assert abs(val - ref) < 1e-12
         assert err < 1e-3
 
+    def test_error_bound_covers_rounding(self):
+        # At M = 2048 the tail is negligible and float64 rounding of the
+        # 2049^2 terms dominates the error.
+        p = BarnesParams(0.2855, 1.3282, 2.6563)
+        s = 5.396 + 12.245j
+        val, err = zeta2_direct(s, p, 2048, with_error=True)
+        assert abs(val - zeta2(s, p)) <= err
+
     def test_monotone_in_m(self):
         p = BarnesParams(0.7, 1.3, 2.1)
         v1 = zeta2_direct(2.5, p, 100).real

@@ -47,6 +47,31 @@ class TestEval:
         assert abs(rec["value"]["re"] - ref.real) < 1e-12
         assert rec["value"]["im"] == 0.0
 
+    def test_config_echoes_fixed_truncation(self, capsys):
+        _, rec, _ = run_cli(capsys, ["eval", "--s", "0.5", "--alpha", "1",
+                                     "--v", "1", "--w", "1"])
+        assert rec["config"] == {
+            "direct_M": 64, "em_order": 10, "hurwitz_M": 64, "hurwitz_J": 12,
+            "quad": {"cell_order": 12, "max_cells": 200000,
+                     "tail_tol": 1e-10},
+            "fd_step": 0.005,
+        }
+
+    def test_precision_flags_are_usage_errors(self):
+        for flag in ("--M", "--em-order", "--quad-tol", "--fd-step"):
+            with pytest.raises(SystemExit) as exc:
+                main(["eval", "--s", "0.5", "--alpha", "1", "--v", "1",
+                      "--w", "1", flag, "8"])
+            assert exc.value.code == 64
+
+    def test_beyond_reach_exits_3(self, capsys):
+        code, rec, err = run_cli(capsys, ["eval", "--s=0.5+1000i",
+                                          "--alpha", "0.3", "--v", "1",
+                                          "--w", "1"])
+        assert code == 3
+        assert rec is None
+        assert "error" in err
+
     def test_direct_within_reported_error(self, capsys):
         argv_tail = ["--s", "4+1i", "--alpha", "0.7", "--v", "1.3",
                      "--w", "2.1"]

@@ -48,7 +48,7 @@ class TestCheckPlumbing:
     def test_failed_check_carries_exception_text(self, monkeypatch):
         import barneszeta.verify as verify_mod
 
-        def broken(p, cfg):
+        def broken(p):
             raise RuntimeError("quadrature went away")
 
         monkeypatch.setattr(verify_mod, "gamma0_at_2_integral", broken)
