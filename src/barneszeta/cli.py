@@ -135,11 +135,7 @@ def _cmd_laurent(args) -> int:
         if args.pole != 2:
             sys.stderr.write("limit-formula route exists only for pole 2\n")
             return EXIT_USAGE
-        values, errs = [], []
-        for k in range(args.kmax + 1):
-            val, err = gammak_at_2_limit(p, k)
-            values.append(val)
-            errs.append(err)
+        values, errs = zip(*gammak_at_2_limit(p, args.kmax))
         rec = _record(args, started,
                       pole=args.pole, method="limit_formula",
                       exact_residue=_num(exact),

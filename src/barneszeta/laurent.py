@@ -1,6 +1,8 @@
 """Laurent coefficients of the Barnes double zeta-function at s = 2 and
 s = 1, from the Euler-Maclaurin jet, by finite-M limit formulas, and by the
-closed integral representation of the constant term at s = 2.
+closed integral representation of the constant term at s = 2.  The limit
+formulas sum the lattice row by row, each row an exact difference of two
+Hurwitz jets, so one pass gives every order.
 
 Coefficients are raw Laurent coefficients:
 
@@ -16,9 +18,11 @@ import numpy as np
 
 from .barnes import BarnesParams, _zeta2_jet
 from .errors import ConsistencyError
-from .hurwitz import hurwitz_zeta
+from .hurwitz import _hurwitz_jet, hurwitz_zeta
 from .numerics import (
     _JET_REL_ERR,
+    _jet_mul,
+    _jet_pow,
     frac_part_integral_1d,
     frac_part_integral_2d,
     richardson_extrapolate,
@@ -125,22 +129,27 @@ def gamma0_at_2_integral(p: BarnesParams) -> float:
     )
 
 
-def _lattice_log_sums(p: BarnesParams, k: int, m_list, power: int = 2):
-    """sum_{m,n<=M} log^k(A)/A^power over the square lattice, for each M."""
-    alpha, v, w = p.alpha, p.v, p.w
-    m_max = max(m_list)
-    n = np.arange(m_max + 1)
-    shells = np.zeros(m_max + 1)
-    chunk = max(1, 2_000_000 // (m_max + 1))
-    for lo in range(0, m_max + 1, chunk):
-        rows = np.arange(lo, min(lo + chunk, m_max + 1))
-        grid = alpha + v * rows[:, None] + w * n[None, :]
-        vals = np.log(grid) ** k / grid ** power if k else grid ** (-float(power))
-        # bin by shell max(m, n); square totals are prefix sums over shells
-        shell = np.maximum(rows[:, None], n[None, :])
-        shells += np.bincount(shell.ravel(), vals.ravel(), minlength=m_max + 1)
-    totals = np.cumsum(shells)
-    return {m: float(totals[m]) for m in m_list}
+def _lattice_log_sums(p: BarnesParams, k_max: int, m_list, power: int = 2):
+    """{M: [S_0, .., S_k_max]}, S_k = sum_{m,n<=M} log^k(A)/A^power.
+
+    Each row over n is an exact Hurwitz difference,
+    sum_{n<=M} A^-s = w^-s [zeta_H(s, a_m) - zeta_H(s, a_m+M+1)] with
+    a_m = (alpha+m v)/w, taken on the jet about s = power, whose slot k is
+    sum (-log A)^k/k! A^-power.  The head jets are shared by every M via
+    a prefix sum over m.  At s = 1 the pole slots cancel exactly, but the
+    product with w^-s needs one order more.
+    """
+    n = k_max + (power == 1)
+    a = (p.alpha + p.v * np.arange(max(m_list) + 1)) / p.w
+    heads = np.cumsum(_hurwitz_jet(power, a, n), axis=0)
+    w_pow = _jet_pow(p.w, power, n)
+    signs = [(-1) ** k * math.factorial(k) for k in range(k_max + 1)]
+    out = {}
+    for m in m_list:
+        rows = heads[m] - _hurwitz_jet(power, a[:m + 1] + m + 1, n).sum(axis=0)
+        jet = _jet_mul(w_pow, rows).real
+        out[m] = [sg * float(jet[k + 1]) for k, sg in enumerate(signs)]
+    return out
 
 
 def _counterterm(p: BarnesParams, k: int, m: int) -> float:
@@ -166,17 +175,18 @@ def _counterterm(p: BarnesParams, k: int, m: int) -> float:
     return acc / (v * w)
 
 
-def gammak_at_2_limit(p: BarnesParams, k: int, m_list=None,
+def gammak_at_2_limit(p: BarnesParams, k_max: int, m_list=None,
                       accelerate: bool = True):
-    """Finite-M limit-formula value of g_k at s = 2.
+    """Finite-M limit-formula values of g_0..g_k_max at s = 2, 0 <= k_max <= 4.
 
     g_k(2) = lim_M (-1)^k/k! [ sum_{m,n<=M} log^k(A)/A^2 - counterterm(M) ],
     A = alpha+m*v+n*w.  Remainder decays like log^(k+1)(M)/M; with
     ``accelerate`` the samples are Richardson-accelerated under that model.
-    Returns (value, err).
+    Every order comes from one lattice pass (``_lattice_log_sums``).
+    Returns a tuple of (value, err), one per k.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    if not 0 <= k_max <= 4:
+        raise ValueError("k_max must be in 0..4")
     if m_list is None:
         m_list = [2 ** e for e in range(6, 13)]
     m_list = sorted(int(m) for m in m_list)
@@ -185,19 +195,23 @@ def gammak_at_2_limit(p: BarnesParams, k: int, m_list=None,
     m_list = [m for m in m_list
               if p.alpha + (p.v + p.w) * m < _M_CAP] or m_list[:1]
 
-    sums = _lattice_log_sums(p, k, m_list)
-    pref = (-1) ** k / math.factorial(k)
-    samples = [(m, pref * (sums[m] - _counterterm(p, k, m))) for m in m_list]
-
-    ys = [y for _, y in samples]
-    if len(ys) >= 3:
-        d1 = abs(ys[-1] - ys[-2])
-        d2 = abs(ys[-2] - ys[-3])
-        if d1 > 10.0 * d2 and d1 > 1e-6:
-            raise ConsistencyError(
-                "finite-M samples diverge non-monotonically; "
-                f"last corrections {d2:.3g} -> {d1:.3g}")
-    if accelerate and len(samples) >= 3:
-        return richardson_extrapolate(samples, model=k + 1)
-    err = abs(ys[-1] - ys[-2]) if len(ys) > 1 else float("inf")
-    return ys[-1], err
+    sums = _lattice_log_sums(p, k_max, m_list)
+    results = []
+    for k in range(k_max + 1):
+        pref = (-1) ** k / math.factorial(k)
+        samples = [(m, pref * (sums[m][k] - _counterterm(p, k, m)))
+                   for m in m_list]
+        ys = [y for _, y in samples]
+        if len(ys) >= 3:
+            d1 = abs(ys[-1] - ys[-2])
+            d2 = abs(ys[-2] - ys[-3])
+            if d1 > 10.0 * d2 and d1 > 1e-6:
+                raise ConsistencyError(
+                    f"finite-M samples of g_{k} diverge non-monotonically; "
+                    f"last corrections {d2:.3g} -> {d1:.3g}")
+        if accelerate and len(samples) >= 3:
+            results.append(richardson_extrapolate(samples, model=k + 1))
+        else:
+            err = abs(ys[-1] - ys[-2]) if len(ys) > 1 else float("inf")
+            results.append((ys[-1], err))
+    return tuple(results)

@@ -112,8 +112,7 @@ class TestAcceptance:
         worst = 0.0
         for p in fixed_suite:
             exp = laurent_at_2(p, 2)
-            for k in range(3):
-                val, _ = gammak_at_2_limit(p, k)
+            for k, (val, _) in enumerate(gammak_at_2_limit(p, 2)):
                 worst = max(worst, abs(val - exp.gammas[k]))
         verdict(7, worst < 1e-4,
                 f"finite-M limit formulas k=0..2, 5 sets: "

@@ -161,6 +161,16 @@ class TestLaurent:
         assert rec["method"] == "limit_formula"
         assert abs(rec["gammas"][0] - EULER) < 1e-4
 
+    @pytest.mark.parametrize("kmax", ["-1", "13"])
+    def test_limit_order_out_of_range_is_usage_error(self, capsys, kmax):
+        code, rec, err = run_cli(capsys, ["laurent", "--pole", "2",
+                                          "--method", "limit", "--alpha", "1",
+                                          "--v", "1", "--w", "1",
+                                          f"--kmax={kmax}"])
+        assert code == 64
+        assert rec is None
+        assert "k_max" in err
+
     def test_limit_requires_pole2(self, capsys):
         code, rec, err = run_cli(capsys, ["laurent", "--pole", "1",
                                           "--method", "limit", "--alpha", "1",

@@ -20,8 +20,10 @@ from barneszeta import (
     stieltjes_constants,
     zeta2,
 )
+from barneszeta.laurent import _lattice_log_sums
 
-from conftest import EULER, LAURENT_V_EQ_W, RAW_STIELTJES_1, ZETA_PRIME_0
+from conftest import (EULER, LAURENT_V_EQ_W, RAW_STIELTJES_1, ZETA_PRIME_0,
+                      brute_lattice_log_sums)
 
 
 class TestResidues:
@@ -153,14 +155,13 @@ class TestGammakAt2Limit:
     def test_matches_contour(self, fixed_suite):
         for p in fixed_suite:
             exp = laurent_at_2(p, 2)
-            for k in range(3):
-                val, err = gammak_at_2_limit(p, k)
+            for k, (val, err) in enumerate(gammak_at_2_limit(p, 2)):
                 assert abs(val - exp.gammas[k]) < 1e-4
 
     def test_unaccelerated_path(self):
         p = BarnesParams(1, 1, 1)
-        val, err = gammak_at_2_limit(p, 0, m_list=[256, 512, 1024],
-                                     accelerate=False)
+        (val, err), = gammak_at_2_limit(p, 0, m_list=[256, 512, 1024],
+                                        accelerate=False)
         assert abs(val - EULER) < 5e-2
         assert err > 0
 
@@ -170,3 +171,29 @@ class TestGammakAt2Limit:
             gammak_at_2_limit(p, -1)
         with pytest.raises(ValueError):
             gammak_at_2_limit(p, 0, m_list=[8, 32, 64])
+
+    def test_orders_beyond_four_rejected(self):
+        # the Richardson model is only checked up to k = 4; beyond it the
+        # samples are far from converged at the default M
+        with pytest.raises(ValueError):
+            gammak_at_2_limit(BarnesParams(1, 1, 1), 5)
+
+    def test_one_entry_per_order(self):
+        out = gammak_at_2_limit(BarnesParams(0.7, 1.3, 2.1), 4)
+        assert len(out) == 5 and all(len(pair) == 2 for pair in out)
+
+
+class TestLatticeLogSums:
+    @pytest.mark.parametrize("triple", [(0.7, 1.3, 2.1), (2.5, 0.5, 2.5),
+                                        (0.1, 4.9, 0.1)])
+    def test_row_differences_match_brute_grid(self, triple):
+        p = BarnesParams(*triple)
+        ms = (16, 64, 1024)
+        sums2 = _lattice_log_sums(p, 2, ms)
+        sums1 = _lattice_log_sums(p, 0, ms, power=1)
+        for m in ms:
+            for k in range(3):
+                ref = brute_lattice_log_sums(p, k, m, 2)
+                assert abs(sums2[m][k] - ref) <= 1e-13 * abs(ref), (m, k)
+            ref = brute_lattice_log_sums(p, 0, m, 1)
+            assert abs(sums1[m][0] - ref) <= 1e-13 * abs(ref), m
