@@ -178,10 +178,6 @@ class TestGammakAt2Limit:
         with pytest.raises(ValueError):
             gammak_at_2_limit(BarnesParams(1, 1, 1), 5)
 
-    def test_one_entry_per_order(self):
-        out = gammak_at_2_limit(BarnesParams(0.7, 1.3, 2.1), 4)
-        assert len(out) == 5 and all(len(pair) == 2 for pair in out)
-
 
 class TestLatticeLogSums:
     @pytest.mark.parametrize("triple", [(0.7, 1.3, 2.1), (2.5, 0.5, 2.5),
