@@ -1,9 +1,10 @@
 """Barnes double zeta-function toolkit.
 
 Evaluation of zeta_2(s, alpha; v, w) across the complex plane, Laurent
-coefficient extraction at the poles s = 1 and s = 2 by three mutually
-checking routes, double gamma / poly-gamma special values, and numerical
-certification suites for the underlying identities.
+coefficient extraction at the poles s = 1 and s = 2 from one
+Euler-Maclaurin jet, checked at s = 2 by the finite-M limit formulas and
+the closed integral form, double gamma / poly-gamma special values, and
+numerical certification suites for the underlying identities.
 """
 
 from .barnes import (

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DIRECT_M, EM_ORDER
-from .errors import DomainError, PoleError
+from .errors import AccuracyError, DomainError, PoleError
 from .hurwitz import _hurwitz_jet, hurwitz_zeta
 from .numerics import (
     _em_corrections,
@@ -175,6 +175,8 @@ def polygamma2(k: int, p: BarnesParams) -> float:
     d^k/dalpha^k zeta_2(s) = (-1)^k (s)_k zeta_2(s+k) with (s)_k = (k-1)! s
     (1 + H_{k-1} s + ...), H the harmonic number; its s-slope at 0 is
     (-1)^k (k-1)! [g_0(k) + H_{k-1} g_{-1}(k)], Laurent coefficients at k.
+    Raises AccuracyError when the value is not a finite float64, as for
+    every k > 171, where (k-1)! overflows.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -182,4 +184,10 @@ def polygamma2(k: int, p: BarnesParams) -> float:
         return log_gamma2(p)
     jet = _zeta2_jet(float(k), p, 1).real
     harmonic = sum(1.0 / i for i in range(1, k))
-    return (-1) ** k * math.factorial(k - 1) * float(jet[1] + harmonic * jet[0])
+    try:
+        value = (-1) ** k * math.factorial(k - 1) * float(jet[1] + harmonic * jet[0])
+    except OverflowError:  # (k-1)! does not convert to float
+        value = math.inf
+    if not math.isfinite(value):
+        raise AccuracyError(f"psi_2^({k}) is not a finite float64", value=value)
+    return value

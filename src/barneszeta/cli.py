@@ -18,9 +18,8 @@ import re
 import sys
 import time
 
-from .barnes import BarnesParams, log_gamma2, polygamma2, zeta2, zeta2_direct, \
-    zeta2_integral_rep
-from .config import DIRECT_M, QUAD_TAIL_TOL, SNAPSHOT
+from .barnes import BarnesParams, log_gamma2, polygamma2, zeta2
+from .config import SNAPSHOT
 from .errors import AccuracyError, PoleError
 from .hurwitz import stieltjes_constants
 from .laurent import gammak_at_2_limit, laurent_at_1, laurent_at_2, \
@@ -104,18 +103,13 @@ def _cmd_eval(args) -> int:
     if s in (1.0 + 0j, 2.0 + 0j) and not args.laurent_fallback:
         sys.stderr.write(f"zeta2 has a pole at s = {int(s.real)}\n")
         return EXIT_POLE
-    method = "em" if args.method == "auto" else args.method
     try:
         if s in (1.0 + 0j, 2.0 + 0j):
             # --laurent-fallback: report the regular part at the pole
             exp = (laurent_at_1 if s.real == 1.0 else laurent_at_2)(p, 0)
             value, err, method = complex(exp.gammas[0]), exp.errs[0], "laurent"
-        elif method == "direct":
-            value, err = zeta2_direct(s, p, 32 * DIRECT_M, with_error=True)
-        elif method == "integral":
-            value, err = zeta2_integral_rep(s, p), QUAD_TAIL_TOL * 8
         else:
-            value, err = zeta2(s, p), None
+            value, err, method = zeta2(s, p), None, "em"
     except PoleError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_POLE
@@ -190,6 +184,9 @@ def _cmd_verify(args) -> int:
         except ValueError:
             sys.stderr.write("BARNES_ZETA_SEED must be a decimal integer\n")
             return EXIT_USAGE
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        sys.stderr.write("--tol must be finite and > 0\n")
+        return EXIT_USAGE
     reports = run_suites((args.suite,), tol=args.tol, seed=seed)
     all_pass = all(r.passed for r in reports)
     rec = _record(args, started, suites=[r.to_dict() for r in reports])
@@ -214,8 +211,7 @@ def build_parser() -> _Parser:
     pe.add_argument("--alpha", type=float, required=True)
     pe.add_argument("--v", type=float, required=True)
     pe.add_argument("--w", type=float, required=True)
-    pe.add_argument("--method", choices=["auto", "direct", "em", "integral"],
-                    default="auto")
+    pe.add_argument("--method", choices=["auto", "em"], default="auto")
     pe.add_argument("--laurent-fallback", action="store_true")
     pe.set_defaults(func=_cmd_eval)
 

@@ -1,7 +1,6 @@
 """Fixed truncations of the zeta evaluators and quadratures.
 
-DIRECT_M         outer truncation of the row-wise Euler-Maclaurin sum
-                 (the reference ``eval --method direct`` sums 32*DIRECT_M)
+DIRECT_M         rows summed directly before the outer Euler-Maclaurin tail
 EM_ORDER         number of even-index Bernoulli correction terms (outer)
 HURWITZ_M        head length of the Hurwitz zeta Euler-Maclaurin sum
 HURWITZ_J        Bernoulli correction terms inside the Hurwitz evaluator

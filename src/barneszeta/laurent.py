@@ -175,13 +175,13 @@ def _counterterm(p: BarnesParams, k: int, m: int) -> float:
     return acc / (v * w)
 
 
-def gammak_at_2_limit(p: BarnesParams, k_max: int, m_list=None,
-                      accelerate: bool = True):
+def gammak_at_2_limit(p: BarnesParams, k_max: int, m_list=None):
     """Finite-M limit-formula values of g_0..g_k_max at s = 2, 0 <= k_max <= 4.
 
     g_k(2) = lim_M (-1)^k/k! [ sum_{m,n<=M} log^k(A)/A^2 - counterterm(M) ],
-    A = alpha+m*v+n*w.  Remainder decays like log^(k+1)(M)/M; with
-    ``accelerate`` the samples are Richardson-accelerated under that model.
+    A = alpha+m*v+n*w.  Remainder decays like log^(k+1)(M)/M; three or more
+    samples are Richardson-accelerated under that model, fewer give the last
+    sample with the last difference as err.
     Every order comes from one lattice pass (``_lattice_log_sums``).
     Returns a tuple of (value, err), one per k.
     """
@@ -209,7 +209,7 @@ def gammak_at_2_limit(p: BarnesParams, k_max: int, m_list=None,
                 raise ConsistencyError(
                     f"finite-M samples of g_{k} diverge non-monotonically; "
                     f"last corrections {d2:.3g} -> {d1:.3g}")
-        if accelerate and len(samples) >= 3:
+        if len(samples) >= 3:
             results.append(richardson_extrapolate(samples, model=k + 1))
         else:
             err = abs(ys[-1] - ys[-2]) if len(ys) > 1 else float("inf")

@@ -78,14 +78,6 @@ def bernoulli_numbers(n_max: int) -> list[float]:
 _B = bernoulli_numbers(_BERNOULLI_MAX)
 
 
-def _poch(s, m: int):
-    """Rising factorial s(s+1)...(s+m-1); (s)_0 = 1.  Broadcasts over s."""
-    out = np.ones_like(np.asarray(s, dtype=complex))
-    for i in range(m):
-        out = out * (s + i)
-    return out
-
-
 # A jet about the center c holds a truncated Laurent series in eps = s - c
 # on its last axis: the coefficients of eps^-1, eps^0, ..., eps^n.  A
 # product with a pole factor needs the other factor one order higher, so
@@ -154,26 +146,41 @@ def _gauss_cell(order: int):
 _TAIL_TERMS = 3  # Euler-Maclaurin correction terms kept in the tail
 
 
-def _frac1d_tail(a, c, s, n_cells):
-    """Tail integral_{N}^{inf} (x-[x]) (a+cx)^(-s) dx, N = n_cells.
+def _sawtooth(G, a, h, s, k, q, tol):
+    """integral_0^inf (y-[y]) G(s, a+h*y) dy over an array of a > 0.
 
-    Sawtooth mean plus Euler-Maclaurin corrections in the periodic part;
-    valid because the integrand factor (a+cx)^(-s) is smooth on [N, inf).
+    ``G(sigma, A)`` returns (values, err) and obeys the rules of A^(-sigma):
+    d/dA G(sigma) = -sigma G(sigma+1), integral_A^inf G(sigma) =
+    G(sigma-1, A)/(sigma-1).  A Gauss rule covers the cells of [0, N), where
+    the sawtooth is smooth.  Beyond N its mean 1/2 and the periodic-Bernoulli
+    corrections leave G at shifted exponents at A_N = a+h*N.  N is the least
+    count whose first omitted correction is below tol/2, given
+    |G(s+2J, A)| <= k A^(-q); N > QUAD_MAX_CELLS raises AccuracyError before
+    any evaluation.  err is tol/2 plus the errors of G (1/2 per cell, the
+    sawtooth mean) plus rounding.
     """
-    base = a + c * n_cells
-    tail = 0.5 * base ** (1.0 - s) / (c * (s - 1.0))
-    for j in range(1, _TAIL_TERMS + 1):
-        coef = _B[2 * j] / math.factorial(2 * j)
-        tail = tail - coef * c ** (2 * j - 2) * _poch(s, 2 * j - 2) * base ** (-s - 2 * j + 2)
-    return tail
-
-
-def _frac1d_omitted(c, s):
-    """(k, q): the first omitted tail term is at most k (a+cN)^(-q)."""
-    j = _TAIL_TERMS + 1
-    coef = abs(_B[2 * j]) / math.factorial(2 * j)
-    k = coef * float(np.max(np.abs(_poch(s, 2 * j - 2)))) * c ** (2 * j - 2)
-    return k, float(np.real(s)) + 2 * j - 2
+    a = np.asarray(a, dtype=float)
+    # (exponent, coefficient) of each tail term; the last is the first omitted
+    tail = [(s - 1.0, 0.5 / (h * (s - 1.0)))] + [
+        (s + 2 * j - 2, -_B[2 * j] / math.factorial(2 * j) * h ** (2 * j - 2)
+         * math.prod(s + i for i in range(2 * j - 2)))  # (s)_{2j-2}
+        for j in range(1, _TAIL_TERMS + 2)]
+    # smallest N with the first omitted correction below tol/2
+    base = (abs(tail[-1][1]) * k / (0.5 * tol)) ** (1.0 / q)
+    n_cells = max(1, int(math.ceil((base - float(np.min(a))) / h)))
+    if n_cells > QUAD_MAX_CELLS:
+        raise AccuracyError(
+            f"cell budget exhausted ({n_cells} > {QUAD_MAX_CELLS})")
+    xi, wts = _gauss_cell(QUAD_CELL_ORDER)
+    g, g_err = G(s, a[..., None, None] + h * (np.arange(n_cells)[:, None] + xi))
+    vals = np.tensordot(g * xi, wts, axes=([-1], [0])).sum(axis=-1)
+    err = 0.5 * tol + 0.5 * n_cells * g_err
+    for sig, coef in tail[:-1]:
+        g, g_err = G(sig, a + h * n_cells)
+        vals = vals + coef * g
+        err += abs(coef) * g_err
+    err += 1e-15 * float(np.max(np.abs(vals))) * math.sqrt(n_cells)
+    return vals, float(err)
 
 
 def _frac1d_core(a, c, s, tol):
@@ -182,29 +189,8 @@ def _frac1d_core(a, c, s, tol):
     ``tol`` is the absolute tolerance of the analytic tail.  Returns
     (values, error_bound).  Caller guarantees Re(s) > 1 and a > 0.
     """
-    a = np.asarray(a, dtype=float)
-    a_min = float(np.min(a))
-    k, q = _frac1d_omitted(c, s)
-    # smallest N with the omitted tail term below tol/2
-    n_cells = 1 if k == 0.0 else max(
-        1, int(math.ceil(((k / (0.5 * tol)) ** (1.0 / q) - a_min) / c)))
-    clipped = n_cells > QUAD_MAX_CELLS
-    if clipped:
-        n_cells = QUAD_MAX_CELLS
-    xi, wts = _gauss_cell(QUAD_CELL_ORDER)
-    xs = np.arange(n_cells)[:, None] + xi[None, :]          # (cells, q)
-    integrand = (a[..., None, None] + c * xs) ** (-s) * xi  # (..., cells, q)
-    vals = np.tensordot(integrand, wts, axes=([-1], [0])).sum(axis=-1)
-    vals = vals + _frac1d_tail(a, c, s, n_cells)
-    err = k * (a_min + c * n_cells) ** -q
-    err += 1e-15 * float(np.max(np.abs(vals))) * math.sqrt(n_cells)
-    if clipped and err > tol:
-        raise AccuracyError(
-            f"tail tolerance {tol:g} not reached within "
-            f"{QUAD_MAX_CELLS} cells (achieved {err:g})",
-            value=vals, achieved=err,
-        )
-    return vals, err
+    return _sawtooth(lambda sig, x: (x ** -sig, 0.0), a, c, s, 1.0,
+                     s.real + 2 * _TAIL_TERMS, tol)
 
 
 def frac_part_integral_1d(a, c, s, with_error: bool = False):
@@ -227,50 +213,23 @@ def frac_part_integral_1d(a, c, s, with_error: bool = False):
 def frac_part_integral_2d(alpha, v, w, s, with_error: bool = False):
     """integral_0^inf integral_0^inf (x-[x])(y-[y]) (alpha+v*y+w*x)^(-s) dx dy.
 
-    Requires Re(s) > 2.  The inner x-integral is done by the 1-D sawtooth
-    machinery; the outer y-integral sees a smooth function of y multiplied
-    by the sawtooth, so the same per-cell Gauss rule plus Euler-Maclaurin
-    tail applies again.  All y-derivatives of the inner integral reduce to
-    further 1-D sawtooth integrals at shifted exponents.
+    Requires Re(s) > 2.  The inner x-integral I(A; w, sigma) is the 1-D
+    sawtooth integral at A = alpha+v*y.  It obeys the two rules of
+    A^(-sigma), d/dA I(sigma) = -sigma I(sigma+1) and integral_A^inf
+    I(sigma) = I(sigma-1, A)/(sigma-1), so the outer y-integral is the same
+    cell-plus-tail scheme with I in place of the power.  Since x-[x] < 1,
+    |I(sigma, A)| <= A^(1-sigma)/(w (sigma-1)), which sizes the outer cells.
     """
     s = complex(s)
     if not (alpha > 0 and v > 0 and w > 0):
         raise ValueError("alpha, v, w must be positive")
     if s.real <= 2:
         raise DomainError("frac_part_integral_2d requires Re(s) > 2")
-    sig = s.real
-    inner_tol = QUAD_TAIL_TOL / 10.0
-
-    # Outer cell count: first omitted outer Euler-Maclaurin term, with the
-    # inner integral at shift 2j-2 bounded by A^(3-sigma-2j)/(w*(sigma+2j-3)).
-    j = _TAIL_TERMS + 1
-    coef = abs(_B[2 * j]) / math.factorial(2 * j)
-    k = coef * abs(_poch(s, 2 * j - 2)) * v ** (2 * j - 2) / (w * (sig + 2 * j - 3))
-    base = (k / (0.5 * QUAD_TAIL_TOL)) ** (1.0 / (sig + 2 * j - 3))
-    n_cells = max(1, int(math.ceil((base - alpha) / v)))
-    if n_cells > QUAD_MAX_CELLS:
-        raise AccuracyError(
-            f"outer cell budget exhausted ({n_cells} > {QUAD_MAX_CELLS})")
-
-    xi, wts = _gauss_cell(QUAD_CELL_ORDER)
-    ys = (np.arange(n_cells)[:, None] + xi[None, :]).ravel()
-    inner_vals, inner_err = _frac1d_core(alpha + v * ys, w, s, inner_tol)
-    frac = np.tile(xi, n_cells)
-    value = np.dot(inner_vals * frac, np.tile(wts, n_cells))
-
-    # Outer tail about y = N: sawtooth mean plus periodic-Bernoulli corrections.
-    a_n = alpha + v * n_cells
-    half, e0 = _frac1d_core(np.asarray(a_n), w, s - 1.0, inner_tol)
-    tail = complex(half) / (2.0 * v * (s - 1.0))
-    errs = [e0 / (2.0 * v * abs(s - 1.0))]
-    for jj in range(1, _TAIL_TERMS + 1):
-        cjj = _B[2 * jj] / math.factorial(2 * jj)
-        inner, ej = _frac1d_core(np.asarray(a_n), w, s + 2 * jj - 2, inner_tol)
-        tail = tail - cjj * _poch(s, 2 * jj - 2) * v ** (2 * jj - 2) * complex(inner)
-        errs.append(abs(cjj) * abs(_poch(s, 2 * jj - 2)) * v ** (2 * jj - 2) * ej)
-    value = complex(value) + tail
-
-    err = 0.5 * QUAD_TAIL_TOL + inner_err * 0.5 * n_cells + sum(errs)
+    q = s.real + 2 * _TAIL_TERMS - 1
+    vals, err = _sawtooth(
+        lambda sig, x: _frac1d_core(x, w, sig, QUAD_TAIL_TOL / 10.0),
+        alpha, v, s, 1.0 / (w * q), q, QUAD_TAIL_TOL)
+    value = complex(vals)
     return (value, err) if with_error else value
 
 

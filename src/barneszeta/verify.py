@@ -398,7 +398,7 @@ def run_suites(names=("all",), tol: float | None = None,
         grid = _reduction_grid()
         for p in (BarnesParams(1, 1, 1), BarnesParams(0.5, 1, 1),
                   BarnesParams(2, 2, 2)):
-            reports.append(verify_reduction(p, grid, tol=tol or 1e-9))
+            reports.append(verify_reduction(p, grid, tol=1e-9 if tol is None else tol))
     if "bounds" in wanted:
         reports.append(verify_bounds())
     return reports

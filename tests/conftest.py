@@ -5,6 +5,7 @@ package (closed forms, high-precision library values, or direct
 truncated summation) and then frozen.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -81,6 +82,24 @@ def brute_frac_1d(a, c, s, t_max, h):
     edge = a + c * t_max
     return (head + 0.5 * edge ** (1.0 - s) / (c * (s - 1.0))
             - edge ** (-s) / 12.0)
+
+
+def sawtooth_1d_mpmath(a, c, s):
+    """int_0^inf (x-[x]) (a+cx)^(-s) dx in closed form, Re s > 1.
+
+    From sum_{n<=N} f(n) = f(0) + int_0^N f + int_0^N (x-[x]) f' with
+    f = (a+cx)^(1-s), continued in s:
+      I = [a^(1-s) + a^(2-s)/(c(s-2)) - c^(1-s) zeta_H(s-1, a/c)] / (c(s-1)),
+    and at s = 2, I = [1/a + (psi(a/c) - log(a/c))/c] / c.
+    """
+    with mpmath.workdps(30):
+        a, c, s = mpmath.mpf(a), mpmath.mpf(c), mpmath.mpmathify(s)
+        if s == 2:
+            val = (1 / a + (mpmath.digamma(a / c) - mpmath.log(a / c)) / c) / c
+        else:
+            val = (a ** (1 - s) + a ** (2 - s) / (c * (s - 2))
+                   - c ** (1 - s) * mpmath.zeta(s - 1, a / c)) / (c * (s - 1))
+        return complex(val)
 
 
 def brute_frac_2d(alpha, v, w, s, t_max, h):

@@ -17,7 +17,7 @@ from barneszeta import (
     zeta2_integral_rep,
     zeta2_s_derivatives_at_0,
 )
-from barneszeta.errors import DomainError, PoleError
+from barneszeta.errors import AccuracyError, DomainError, PoleError
 from barneszeta.numerics import ContourSpec, contour_coefficients
 
 from conftest import ZETA2, ZETA3, ZETA4, ZETA_PRIME_M1, brute_zeta2
@@ -223,6 +223,13 @@ class TestPolygamma2:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             polygamma2(-1, BarnesParams(1, 1, 1))
+
+    def test_overflow_raises(self):
+        # (k-1)! leaves float64 beyond k = 171
+        p = BarnesParams(1, 1, 1)
+        assert math.isfinite(polygamma2(171, p))
+        with pytest.raises(AccuracyError):
+            polygamma2(200, p)
 
     def test_higher_orders_unit(self):
         # psi_2^(k) = (-1)^k (k-1)! zeta_2(k) for k >= 3, and

@@ -18,7 +18,8 @@ from barneszeta.errors import DomainError
 from barneszeta.hurwitz import hurwitz_zeta
 from barneszeta.numerics import _frac1d_core, central_difference, e_algorithm
 
-from conftest import EULER, I2_1114, brute_frac_1d, brute_frac_2d
+from conftest import (EULER, I2_1114, brute_frac_1d, brute_frac_2d,
+                      sawtooth_1d_mpmath)
 
 
 class TestBernoulli:
@@ -142,6 +143,14 @@ class TestFracPart1D:
         ref = (4.0 * ref2 - ref1) / 3.0
         val = frac_part_integral_1d(2.0, 3.0, 2.0)
         assert abs(val.real - ref) < 1e-8
+
+    def test_closed_form_within_bar(self, fixed_suite):
+        # the (alpha, v) and (alpha, w) pairs verify_theorem1 integrates
+        for p in fixed_suite:
+            for c in (p.v, p.w):
+                val, err = frac_part_integral_1d(p.alpha, c, 2.0,
+                                                 with_error=True)
+                assert abs(val - sawtooth_1d_mpmath(p.alpha, c, 2)) <= err
 
     def test_error_bound_refines(self):
         v1, e1 = _frac1d_core(1.0, 1.0, 2.5 + 0j, 1e-8)

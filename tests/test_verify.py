@@ -185,6 +185,10 @@ class TestReduction:
                                tol=1e-30)
         assert not rep.passed
 
+    def test_run_suites_passes_tol_through(self):
+        reports = run_suites(("reduction",), tol=0.0)
+        assert all(c.tol == 0.0 for r in reports for c in r.checks)
+
 
 class TestBounds:
     def test_default_suite_passes(self):
