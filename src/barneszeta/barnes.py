@@ -14,10 +14,9 @@ from .config import DIRECT_M, EM_ORDER
 from .errors import AccuracyError, DomainError, PoleError
 from .hurwitz import _hurwitz_jet, hurwitz_zeta
 from .numerics import (
-    _em_corrections,
+    _em_tail,
     _jet_mul,
     _jet_pow,
-    _jet_recip,
     frac_part_integral_1d,
     frac_part_integral_2d,
 )
@@ -91,24 +90,22 @@ def zeta2_direct(s, p: BarnesParams, M: int, with_error: bool = False):
 def _zeta2_jet(c, p: BarnesParams, n: int):
     """Jet of zeta_2(s, alpha; v, w) about s = c, slots eps^-1..eps^n.
 
-    Row decomposition sum_m w^(-s) zeta_H(s, (alpha+m*v)/w) with the outer
-    m-sum continued by Euler-Maclaurin; every m-derivative reduces to a
-    shifted Hurwitz value via d/da zeta_H(s, a) = -s zeta_H(s+1, a).  One
-    Hurwitz jet call covers the head rows and zeta_H(s-1), zeta_H(s),
-    zeta_H(s+2j-1) at the cut a_M.  c may be an array.
+    Row decomposition sum_m w^(-s) zeta_H(s, (alpha+m*v)/w).  G(s, A) =
+    zeta_H(s, A) obeys the rules of A^(-s) (d/dA zeta_H(s) = -s
+    zeta_H(s+1)), so ``_em_tail`` sums the rows beyond DIRECT_M with h =
+    v/w and EM_ORDER corrections, and raises where its first omitted
+    correction exceeds the rounding floor.  One Hurwitz jet call covers
+    the head rows and the cut shifts zeta_H(s+k, a_M), k = -1, 0, 1, 3,
+    ..., 2 EM_ORDER+1.  c may be an array.
     """
     alpha, v, w = p.alpha, p.v, p.w
-    m_len, j_len = DIRECT_M, EM_ORDER
     c = np.asarray(c, dtype=complex)
-    odd = 2 * np.arange(1, j_len + 1) - 1
-    shifts = np.concatenate([np.zeros(m_len), [-1.0, 0.0], odd])
-    rows = np.minimum(np.arange(m_len + j_len + 2), m_len)  # cut row M repeats
+    shifts = np.array([0] * DIRECT_M + [-1, 0, *range(1, 2 * EM_ORDER + 2, 2)])
+    rows = np.minimum(np.arange(len(shifts)), DIRECT_M)  # cut row M repeats
     zh = _hurwitz_jet(c[..., None] + shifts, (alpha + v * rows) / w, n)
-    head = zh[..., :m_len, :].sum(axis=-2)
-    mid = (w / v) * _jet_mul(_jet_recip(c, n), zh[..., m_len, :]) \
-        + 0.5 * zh[..., m_len + 1, :]
-    tail = _em_corrections(c, ((v / w) ** odd)[:, None] * zh[..., m_len + 2:, :])
-    return _jet_mul(_jet_pow(w, c, n), head + mid + tail)
+    total = _em_tail(c, v / w, zh[..., :DIRECT_M, :].sum(axis=-2),
+                     zh[..., DIRECT_M:, :])
+    return _jet_mul(_jet_pow(w, c, n), total)
 
 
 def zeta2(s, p: BarnesParams):

@@ -18,14 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HURWITZ_J, HURWITZ_M
-from .errors import AccuracyError, PoleError
+from .errors import PoleError
 from .numerics import (
-    _B,
     _JET_REL_ERR,
-    _em_corrections,
-    _jet_mul,
+    _em_tail,
     _jet_pow,
-    _jet_recip,
     frac_part_integral_1d,
 )
 
@@ -56,34 +53,20 @@ class StieltjesTable:
 def _hurwitz_jet(c, a, n: int):
     """Jet of zeta_H(s, a) about s = c, slots eps^-1..eps^n.
 
-    Euler-Maclaurin: head sum of HURWITZ_M terms, integral and midpoint
-    terms, then HURWITZ_J even-Bernoulli corrections, all on jets.  c and
-    a broadcast; the jet is on a new last axis.  Raises AccuracyError where
-    the first omitted correction exceeds the jet's rounding floor, which
-    happens for |Im c| beyond about 150-200.
+    ``_em_tail`` with G = A^(-s), h = 1, a head of HURWITZ_M terms and
+    HURWITZ_J corrections at the cut A = HURWITZ_M + a, where G(s+k) is
+    A^(-k) A^(-s).  c and a broadcast; the jet is on a new last axis.
+    Raises AccuracyError where the first omitted correction exceeds the
+    jet's rounding floor, which happens for |Im c| beyond about 150-200.
     """
     c = np.asarray(c, dtype=complex)
     a = np.asarray(a, dtype=float)
     m = np.arange(HURWITZ_M)
     head = _jet_pow(a[..., None] + m, c[..., None], n).sum(axis=-2)
     base = HURWITZ_M + a
-    x_s = _jet_pow(base, c, n)
-    out = head + _jet_mul(base[..., None] * x_s, _jet_recip(c, n)) + 0.5 * x_s
-    odd = 2 * np.arange(1, HURWITZ_J + 1) - 1
-    terms = (base[..., None] ** -odd)[..., None] * x_s[..., None, :]
-    out = out + _em_corrections(c, terms)
-    # first omitted correction, |B_2j/(2j)! (c)_{2j-1}| (M+a)^(1-Re c-2j)
-    j = HURWITZ_J + 1
-    poch = np.prod(np.abs(c[..., None] + np.arange(2 * j - 1)), axis=-1)
-    omitted = (abs(_B[2 * j]) / math.factorial(2 * j) * poch
-               * base ** (-c.real - 2 * j + 1))
-    # written so that a NaN or overflowed value raises as well
-    if not np.all(omitted <= _JET_REL_ERR * np.maximum(1.0, np.abs(out[..., 1]))):
-        raise AccuracyError(
-            f"Hurwitz zeta truncation error up to {np.max(omitted):.3g}: "
-            "s is beyond the reach of the fixed head length",
-            value=out, achieved=float(np.max(omitted)))
-    return out
+    k = np.array([-1, 0, *range(1, 2 * HURWITZ_J + 2, 2)])
+    cut = (base[..., None] ** -k)[..., None] * _jet_pow(base, c, n)[..., None, :]
+    return _em_tail(c, 1.0, head, cut)
 
 
 def hurwitz_zeta(s, a):

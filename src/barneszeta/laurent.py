@@ -87,12 +87,15 @@ def _laurent_jet(p, center, exact_residue, k_max):
     jet = _zeta2_jet(float(center), p, k_max + 1).real
     g_m1 = float(jet[0])
     gammas = tuple(float(g) for g in jet[1:k_max + 2])
+    # the error is about the same absolute size in every slot and the
+    # largest slots set it, so every slot read shares one bar
+    bar = _JET_REL_ERR * max(1.0, float(np.max(np.abs(jet[:k_max + 2]))))
     return LaurentExpansion(
         center=center,
         gamma_minus1=g_m1,
-        err_minus1=_JET_REL_ERR * max(1.0, abs(g_m1)) + abs(g_m1 - exact_residue),
+        err_minus1=bar + abs(g_m1 - exact_residue),
         gammas=gammas,
-        errs=tuple(_JET_REL_ERR * max(1.0, abs(g)) for g in gammas),
+        errs=(bar,) * len(gammas),
         method="em",
     )
 

@@ -117,24 +117,40 @@ def _jet_recip(c, n: int):
     return np.concatenate([pole, np.where(pole, 0.0, taylor)], axis=-1)
 
 
-def _em_corrections(c, terms):
-    """sum_j B_2j/(2j)! (s)_{2j-1} terms_j over j = 1..J, on jets about c.
+def _em_tail(c, h, head, cut):
+    """sum_{m>=0} G(s, A+h*m) by Euler-Maclaurin on jets about s = c.
 
-    ``terms`` has shape (..., J, n+2).  A zero of (s)_{2j-1} meets a pole
-    of terms_j inside one jet product.
+    G obeys the rules of A^(-s): d/dA G(s) = -s G(s+1), integral_A^inf
+    G(s) = G(s-1, A)/(s-1).  ``head`` is the jet of the terms before the cut
+    A_M; ``cut`` (..., J+3, n+2) holds G(s+k, A_M) for k = -1, 0, 1, 3, ..,
+    2J+1.  Returns head + G(s-1)/(h(s-1)) + G(s)/2 + sum_{j<=J} B_2j/(2j)!
+    h^(2j-1) (s)_{2j-1} G(s+2j-1); a zero of (s)_{2j-1} meets a pole of G in
+    one jet product.  Raises AccuracyError where the first omitted term,
+    j = J+1, is NaN or exceeds the rounding floor in a slot below the top.
     """
-    c = np.asarray(c, dtype=complex)[..., None]
-    j_len, n2 = terms.shape[-2:]
-    rising = [np.zeros(c.shape[:-1] + (n2,), dtype=complex)]  # (s)_0, (s)_1, ...
+    c = np.asarray(c, dtype=complex)
+    j_len, n2 = cut.shape[-2] - 3, cut.shape[-1]
+    out = (head + _jet_mul(cut[..., 0, :], _jet_recip(c, n2 - 2)) / h
+           + 0.5 * cut[..., 1, :])
+    rising = [np.zeros(c.shape + (n2,), dtype=complex)]  # (s)_0, (s)_1, ...
     rising[0][..., 1] = 1.0
-    for i in range(2 * j_len - 1):
+    for i in range(2 * j_len + 1):
         # (s)_{i+1} = (s)_i (c + i + eps); eps moves every slot up by one
-        nxt = rising[-1] * (c + i)
+        nxt = rising[-1] * (c[..., None] + i)
         nxt[..., 2:] += rising[-1][..., 1:-1]
         rising.append(nxt)
-    coefs = np.array([_B[2 * j] / math.factorial(2 * j) for j in range(1, j_len + 1)])
-    poch = np.stack(rising[1::2], axis=-2)  # (s)_{2j-1}, j = 1..J
-    return (coefs[:, None] * _jet_mul(poch, terms)).sum(axis=-2)
+    coefs = np.array([_B[2 * j] / math.factorial(2 * j) * h ** (2 * j - 1)
+                      for j in range(1, j_len + 2)])
+    poch = np.stack(rising[1::2], axis=-2)  # (s)_{2j-1}, j = 1..J+1
+    terms = coefs[:, None] * _jet_mul(poch, cut[..., 2:, :])
+    out = out + terms[..., :-1, :].sum(axis=-2)
+    omitted = np.abs(terms[..., -1, :-1])  # the top slot is not read
+    if not np.all(omitted <= _JET_REL_ERR * np.maximum(1.0, np.abs(out[..., :-1]))):
+        raise AccuracyError(
+            f"Euler-Maclaurin truncation error up to {np.max(omitted):.3g}: "
+            "s is beyond the reach of the fixed head length",
+            value=out, achieved=float(np.max(omitted)))
+    return out
 
 
 def _gauss_cell(order: int):

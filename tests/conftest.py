@@ -63,6 +63,18 @@ LAURENT_V_EQ_W = {
         0.8000002151892919),
 }
 
+# Raw Laurent coefficients g_{-1}..g_8 of zeta_2(s, 0.1; 4.9, 0.1) about
+# s = 1, lopsided weights whose largest slots (g_0 = 27.7, g_1 = 38.7) set
+# the absolute error of every slot.  From the 49:1 closed form
+# (zeta2_commensurate_mpmath) in mpmath at 40 digits, as the series product
+# of (4.9)^-s with mpmath's zeta_H(u, a) derivatives at u = 0 and
+# generalized Stieltjes constants of each residue class a.
+LAURENT_LOPSIDED_S1 = (
+    4.8979591836734695, 27.65863647665011, 38.743324533997935,
+    34.95845042348303, 23.330518047937662, 11.442383201362274,
+    3.889863678370066, 0.16734909966457592, -1.329779810578598,
+    -1.83879282604142)
+
 # gamma_0(1/2) = -psi(1/2) = Euler + 2 log 2 (raw == classical at k = 0).
 GAMMA0_HALF = 1.9635100260214235
 
@@ -100,6 +112,24 @@ def sawtooth_1d_mpmath(a, c, s):
             val = (a ** (1 - s) + a ** (2 - s) / (c * (s - 2))
                    - c ** (1 - s) * mpmath.zeta(s - 1, a / c)) / (c * (s - 1))
         return complex(val)
+
+
+def zeta2_commensurate_mpmath(s, alpha, p, q, t):
+    """zeta_2(s, alpha; p t, q t) in closed form, integers p, q >= 1.
+
+    Every lattice point alpha + (p m + q n) t is t pq (a + j) with j >= 0
+    and a = (alpha/t + p r + q u)/(pq), one residue class per r < q,
+    u < p, hit by j+1 pairs (m, n); sum_j (j+1)(a+j)^-s = zeta_H(s-1, a)
+    + (1-a) zeta_H(s, a).  Continues to every s off the poles 1, 2.
+    """
+    with mpmath.workdps(30):
+        s, alpha, t = mpmath.mpmathify(s), mpmath.mpf(alpha), mpmath.mpf(t)
+        total = mpmath.mpf(0)
+        for r in range(q):
+            for u in range(p):
+                a = (alpha / t + p * r + q * u) / (p * q)
+                total += mpmath.zeta(s - 1, a) + (1 - a) * mpmath.zeta(s, a)
+        return complex((p * q * t) ** (-s) * total)
 
 
 def brute_frac_2d(alpha, v, w, s, t_max, h):

@@ -71,6 +71,12 @@ class TestEval:
         assert code == 3
         assert rec is None
         assert "error" in err
+        # refused by the outer Euler-Maclaurin level at lopsided weights
+        code, rec, _ = run_cli(capsys, ["eval", "--s=0.5+160i",
+                                        "--alpha", "0.1", "--v", "4.9",
+                                        "--w", "0.1"])
+        assert code == 3
+        assert rec is None
 
     def test_dominated_methods_are_usage_errors(self):
         # Euler-Maclaurin beats the direct sum and the integral
@@ -125,7 +131,7 @@ class TestEval:
 
 
 class TestLaurent:
-    def test_contour_pole2(self, capsys):
+    def test_em_pole2(self, capsys):
         code, rec, _ = run_cli(capsys, ["laurent", "--pole", "2",
                                         "--alpha", "1", "--v", "1", "--w", "1",
                                         "--kmax", "2"])
@@ -136,7 +142,7 @@ class TestLaurent:
         for k in range(3):
             assert abs(rec["gammas"][k] - RAW_STIELTJES_1[k]) < 1e-9
 
-    def test_contour_pole1(self, capsys):
+    def test_em_pole1(self, capsys):
         code, rec, _ = run_cli(capsys, ["laurent", "--pole", "1",
                                         "--alpha", "0.5", "--v", "1",
                                         "--w", "1", "--kmax", "0"])

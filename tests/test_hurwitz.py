@@ -17,7 +17,8 @@ from barneszeta import (
 )
 from barneszeta.errors import AccuracyError, PoleError
 
-from conftest import EULER, GAMMA0_HALF, RAW_STIELTJES_1, ZETA2, ZETA3, ZETA4
+from conftest import (EULER, GAMMA0_HALF, RAW_STIELTJES_1, ZETA2, ZETA3, ZETA4,
+                      zeta2_commensurate_mpmath)
 
 
 class TestHurwitzZeta:
@@ -91,6 +92,11 @@ class TestHurwitzZeta:
             hurwitz_zeta(0.5 + 1000j, 0.3)
         with pytest.raises(AccuracyError):
             zeta2(0.5 + 1000j, BarnesParams(0.7, 1.0, 1.0))
+        # at lopsided weights the outer level refuses first; the values
+        # would be 2.7e-10 and 7.6e-11 off relative, 18x and 5x the floor
+        for p in (BarnesParams(0.1, 4.9, 0.1), BarnesParams(0.1, 0.1, 4.9)):
+            with pytest.raises(AccuracyError):
+                zeta2(0.5 + 160j, p)
         # there the sums overflow to NaN, which must raise as well
         with np.errstate(all="ignore"), pytest.raises(AccuracyError):
             hurwitz_zeta(0.5 + 1e200j, 0.3)
@@ -100,6 +106,10 @@ class TestHurwitzZeta:
         ref = complex(mpmath.zeta(s, 0.3))
         assert abs(hurwitz_zeta(s, 0.3) - ref) < 1e-11 * abs(ref)
         assert np.isfinite(zeta2(s, BarnesParams(0.7, 1.0, 1.0)))
+        # (0.1; 4.9, 0.1) has weights 49:1 with t = 0.1
+        s = 0.5 + 130j
+        ref = zeta2_commensurate_mpmath(s, 0.1, 49, 1, 0.1)
+        assert abs(zeta2(s, BarnesParams(0.1, 4.9, 0.1)) - ref) < 1e-10 * abs(ref)
 
     def test_vectorized_matches_scalar(self):
         s = np.array([2.5 + 1j, -0.5 + 0j, 3.0 + 0j])

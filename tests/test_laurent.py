@@ -22,8 +22,8 @@ from barneszeta import (
 )
 from barneszeta.laurent import _lattice_log_sums
 
-from conftest import (EULER, LAURENT_V_EQ_W, RAW_STIELTJES_1, ZETA_PRIME_0,
-                      brute_lattice_log_sums)
+from conftest import (EULER, LAURENT_LOPSIDED_S1, LAURENT_V_EQ_W,
+                      RAW_STIELTJES_1, ZETA_PRIME_0, brute_lattice_log_sums)
 
 
 class TestResidues:
@@ -113,6 +113,15 @@ class TestJetAgainstMpmath:
             err = abs(g - ref)
             assert err <= 1e-11 * max(1.0, abs(ref)), (k, err)
             assert err <= e, (k, err, e)
+
+    def test_lopsided_weights_within_bars(self):
+        # every slot's error is about the absolute size that g_0, g_1 set
+        exp = laurent_at_1(BarnesParams(0.1, 4.9, 0.1), 8)
+        got = (exp.gamma_minus1, *exp.gammas)
+        bars = (exp.err_minus1, *exp.errs)
+        for k, (g, e, ref) in enumerate(zip(got, bars, LAURENT_LOPSIDED_S1),
+                                        start=-1):
+            assert abs(g - ref) <= e, (k, abs(g - ref), e)
 
 
 class TestExpansionDataclass:
