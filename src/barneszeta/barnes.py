@@ -15,6 +15,7 @@ from .errors import AccuracyError, DomainError, PoleError
 from .hurwitz import _hurwitz_jet, hurwitz_zeta
 from .numerics import (
     _em_tail,
+    _head_length,
     _jet_mul,
     _jet_pow,
     frac_part_integral_1d,
@@ -92,19 +93,25 @@ def _zeta2_jet(c, p: BarnesParams, n: int):
 
     Row decomposition sum_m w^(-s) zeta_H(s, (alpha+m*v)/w).  G(s, A) =
     zeta_H(s, A) obeys the rules of A^(-s) (d/dA zeta_H(s) = -s
-    zeta_H(s+1)), so ``_em_tail`` sums the rows beyond DIRECT_M with h =
+    zeta_H(s+1)), so ``_em_tail`` sums the rows beyond the head with h =
     v/w and EM_ORDER corrections, and raises where its first omitted
-    correction exceeds the rounding floor.  One Hurwitz jet call covers
-    the head rows and the cut shifts zeta_H(s+k, a_M), k = -1, 0, 1, 3,
-    ..., 2 EM_ORDER+1.  c may be an array.
+    correction exceeds the rounding floor.  The head has R rows per element
+    of c, chosen by ``_head_length`` (power 1: the slot sum of
+    zeta_H(s+2J+1, A) is at most sum_m (A+m)^(1-Re s-2J-1)), at least 1
+    and at most DIRECT_M.  One Hurwitz jet call covers the head rows up to
+    the largest R, zeroed beyond each element's own, and the cut shifts
+    zeta_H(s+k, a_R), k = -1, 0, 1, 3, ..., 2 EM_ORDER+1; a batch is
+    bitwise equal to scalar calls.  c may be an array.
     """
     alpha, v, w = p.alpha, p.v, p.w
     c = np.asarray(c, dtype=complex)
-    shifts = np.array([0] * DIRECT_M + [-1, 0, *range(1, 2 * EM_ORDER + 2, 2)])
-    rows = np.minimum(np.arange(len(shifts)), DIRECT_M)  # cut row M repeats
+    size = np.maximum(_head_length(c, alpha / w, v / w, EM_ORDER, 1, DIRECT_M), 1)
+    m = np.arange(size.max(initial=0))
+    shifts = np.array([0] * len(m) + [-1, 0, *range(1, 2 * EM_ORDER + 2, 2)])
+    rows = np.minimum(np.arange(len(shifts)), size[..., None])  # row R repeats
     zh = _hurwitz_jet(c[..., None] + shifts, (alpha + v * rows) / w, n)
-    total = _em_tail(c, v / w, zh[..., :DIRECT_M, :].sum(axis=-2),
-                     zh[..., DIRECT_M:, :])
+    head = np.where((m < size[..., None])[..., None], zh[..., :len(m), :], 0.0)
+    total = _em_tail(c, v / w, head.sum(axis=-2), zh[..., len(m):, :])
     return _jet_mul(_jet_pow(w, c, n), total)
 
 

@@ -1,8 +1,10 @@
-"""Fixed truncations of the zeta evaluators and quadratures.
+"""Truncations of the zeta evaluators and quadratures.
 
-DIRECT_M         rows summed directly before the outer Euler-Maclaurin tail
+DIRECT_M         cap on the rows summed directly before the outer
+                 Euler-Maclaurin tail; the count is chosen from (s, alpha/w)
 EM_ORDER         number of even-index Bernoulli correction terms (outer)
-HURWITZ_M        head length of the Hurwitz zeta Euler-Maclaurin sum
+HURWITZ_M        cap on the head length of the Hurwitz zeta Euler-Maclaurin
+                 sum; the length is chosen from (s, a)
 HURWITZ_J        Bernoulli correction terms inside the Hurwitz evaluator
 QUAD_CELL_ORDER  Gauss-Legendre points per unit cell of the sawtooth integrals
 QUAD_MAX_CELLS   hard cap on the number of cells
@@ -10,7 +12,9 @@ QUAD_TAIL_TOL    absolute tolerance allotted to the analytic tail
 FD_STEP          central-difference step of the verify alpha-derivatives
                  (capped at alpha/4)
 
-SNAPSHOT echoes them in every JSON record as the ``config`` object.
+Below a cap, ``numerics._head_length`` picks the least count whose first
+omitted Bernoulli term is below 2^-53 of the tail.  SNAPSHOT echoes the
+constants, caps included, in every JSON record as the ``config`` object.
 """
 
 DIRECT_M = 64

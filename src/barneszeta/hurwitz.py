@@ -22,6 +22,7 @@ from .errors import PoleError
 from .numerics import (
     _JET_REL_ERR,
     _em_tail,
+    _head_length,
     _jet_pow,
     frac_part_integral_1d,
 )
@@ -53,17 +54,23 @@ class StieltjesTable:
 def _hurwitz_jet(c, a, n: int):
     """Jet of zeta_H(s, a) about s = c, slots eps^-1..eps^n.
 
-    ``_em_tail`` with G = A^(-s), h = 1, a head of HURWITZ_M terms and
-    HURWITZ_J corrections at the cut A = HURWITZ_M + a, where G(s+k) is
-    A^(-k) A^(-s).  c and a broadcast; the jet is on a new last axis.
-    Raises AccuracyError where the first omitted correction exceeds the
-    jet's rounding floor, which happens for |Im c| beyond about 150-200.
+    ``_em_tail`` with G = A^(-s), h = 1 and HURWITZ_J corrections at the
+    cut A = N + a, where G(s+k) is A^(-k) A^(-s).  The head length N is
+    chosen per element by ``_head_length`` (power 0): the least N whose
+    first omitted correction is below 2^-53 of the tail, at most HURWITZ_M.
+    Terms are summed up to the largest N and zeroed beyond each element's
+    own, so a batch is bitwise equal to scalar calls.  c and a broadcast;
+    the jet is on a new last axis.  Raises AccuracyError where the first
+    omitted correction at N = HURWITZ_M exceeds the jet's rounding floor,
+    which happens for |Im c| beyond about 150-200.
     """
     c = np.asarray(c, dtype=complex)
     a = np.asarray(a, dtype=float)
-    m = np.arange(HURWITZ_M)
-    head = _jet_pow(a[..., None] + m, c[..., None], n).sum(axis=-2)
-    base = HURWITZ_M + a
+    size = _head_length(c, a, 1.0, HURWITZ_J, 0, HURWITZ_M)
+    m = np.arange(size.max(initial=0))
+    terms = _jet_pow(a[..., None] + m, c[..., None], n)
+    head = np.where((m < size[..., None])[..., None], terms, 0.0).sum(axis=-2)
+    base = a + size
     k = np.array([-1, 0, *range(1, 2 * HURWITZ_J + 2, 2)])
     cut = (base[..., None] ** -k)[..., None] * _jet_pow(base, c, n)[..., None, :]
     return _em_tail(c, 1.0, head, cut)

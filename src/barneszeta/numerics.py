@@ -117,6 +117,41 @@ def _jet_recip(c, n: int):
     return np.concatenate([pole, np.where(pole, 0.0, taylor)], axis=-1)
 
 
+def _head_length(c, a, h, j_len: int, power: int, cap: int):
+    """Terms to sum before the Euler-Maclaurin cut A = a + h*N, per element.
+
+    The smallest N whose bound on the first omitted correction of
+    ``_em_tail`` (j = J+1), summed over every jet slot, is at most
+    2^-53 min(1, A^(power-Re c)), the size of the leading tail term; N = cap
+    where the bound cannot be met by then.  For A >= 1 the slot sums of a
+    jet product are at most the product of the slot sums: (s)_{2J+1} gives
+    prod_{i<=2J} (|c+i|+1), and the jet of A^(-s) about c gives
+    A^(-Re c) sum_k |log A|^k/k! <= A^(1-Re c).  G = A^(-s) (power 0) thus
+    contributes A^(-Re c-2J); G = zeta_H(s, A) (power 1) contributes
+    sum_m (A+m)^(1-sigma) <= A^(-e) (1 + 1/e) at sigma = Re c+2J+1, with
+    e = Re c+2J-1.  Both read K A^(-e), e = Re c+2J-power and
+    K = |B_{2J+2}|/(2J+2)! h^(2J+1) prod_i (|c+i|+1) (1 + power/e), so the
+    target holds for A >= A* = max(1, (2^53 K)^(1/2J), (2^53 K)^(1/e)); where
+    e <= 0 it never holds.  c and a broadcast; c need not match a's shape.
+    """
+    c = np.asarray(c, dtype=complex)
+    a = np.asarray(a, dtype=float)
+    e = c.real + 2 * j_len - power
+    pos = e > 0
+    e_pos = np.where(pos, e, 1.0)
+    log_k = (math.log(2.0 ** 53 * abs(_B[2 * j_len + 2])
+                      / math.factorial(2 * j_len + 2) * h ** (2 * j_len + 1))
+             + np.log(np.abs(c[..., None] + np.arange(2 * j_len + 1)) + 1.0)
+             .sum(axis=-1) + np.log1p(power / e_pos))
+    log_cut = np.where(pos, np.maximum(0.0, log_k / np.minimum(2 * j_len, e_pos)),
+                       np.inf)
+    with np.errstate(over="ignore"):
+        cut = np.exp(log_cut)
+    n = np.where(cut <= a + h * cap,
+                 np.clip(np.ceil((cut - a) / h), 0, cap), cap)
+    return n.astype(int)
+
+
 def _em_tail(c, h, head, cut):
     """sum_{m>=0} G(s, A+h*m) by Euler-Maclaurin on jets about s = c.
 
@@ -148,7 +183,7 @@ def _em_tail(c, h, head, cut):
     if not np.all(omitted <= _JET_REL_ERR * np.maximum(1.0, np.abs(out[..., :-1]))):
         raise AccuracyError(
             f"Euler-Maclaurin truncation error up to {np.max(omitted):.3g}: "
-            "s is beyond the reach of the fixed head length",
+            "s is beyond the reach of the capped head length",
             value=out, achieved=float(np.max(omitted)))
     return out
 

@@ -19,10 +19,13 @@ from barneszeta import (
     zeta2_integral_rep,
     zeta2_s_derivatives_at_0,
 )
+from barneszeta.barnes import _zeta2_jet
+from barneszeta.config import DIRECT_M, EM_ORDER
 from barneszeta.errors import AccuracyError, DomainError, PoleError
-from barneszeta.numerics import ContourSpec, contour_coefficients
+from barneszeta.numerics import ContourSpec, _head_length, contour_coefficients
 
-from conftest import ZETA2, ZETA3, ZETA4, ZETA_PRIME_M1, brute_zeta2
+from conftest import (ZETA2, ZETA3, ZETA4, ZETA_PRIME_M1, brute_zeta2,
+                      zeta2_commensurate_mpmath)
 
 
 class TestParams:
@@ -92,10 +95,11 @@ class TestZeta2:
         # at s = 2 - 2j the outer correction j evaluates zeta_H at its pole,
         # cancelled by the zero of (s)_{2j-1}; zeta_2(s, 1; 1, 1) = zeta(s-1)
         # gives zeta(-3) = 1/120 and zeta(-5) = -1/252.  The s = -4 error
-        # is the known Re s < 0 cancellation, not the pole hit.
+        # (2.8e-9 seen, 8.8e-12 at s = -2) is the Re s < 0 cancellation,
+        # not the pole hit.
         p = BarnesParams(1, 1, 1)
-        for s, exact, tol in ((-2.0, 1.0 / 120.0, 1e-6),
-                              (-4.0, -1.0 / 252.0, 1e-2)):
+        for s, exact, tol in ((-2.0, 1.0 / 120.0, 1e-10),
+                              (-4.0, -1.0 / 252.0, 1e-7)):
             val = zeta2(s, p)
             assert np.isfinite(val)
             assert abs(val - exact) <= tol * abs(exact)
@@ -141,6 +145,33 @@ class TestZeta2:
         vec = zeta2(s, p)
         for si, vi in zip(s, vec):
             assert vi == zeta2(complex(si), p)
+        # row counts from 8 to DIRECT_M: the shorter heads are zero-padded
+        # up to the longest, which must not change a single bit
+        s = np.array([-3.0 + 0j, 0.5 + 2j, 3.0 + 0j, 0.5 + 30j, -8 + 10j,
+                      0.5 + 100j])
+        rows = _head_length(s, p.alpha / p.w, p.v / p.w, EM_ORDER, 1, DIRECT_M)
+        assert len(np.unique(rows)) == len(s) and rows.max() == DIRECT_M
+        vec = zeta2(s, p)
+        for si, vi in zip(s, vec):
+            assert vi == zeta2(complex(si), p)
+
+    def test_near_zero(self):
+        # a fixed 64-row head leaves 1.7e-10 relative here; worst seen 1.9e-13
+        ref = zeta2_commensurate_mpmath(0.001, 0.7, 1, 2, 1.0)
+        val = zeta2(0.001, BarnesParams(0.7, 1.0, 2.0))
+        assert abs(val - ref) <= 1e-12 * abs(ref)
+
+    def test_value_at_zero_across_alpha(self):
+        # zeta_2(0, alpha; v, w) = alpha^2/(2vw) - alpha(v+w)/(2vw)
+        # + (v^2+w^2+3vw)/(12vw), at the alphas the theorem-2 suites
+        # difference on (2; 3, 1); worst error seen 4.6e-14
+        v, w = 3.0, 1.0
+        for da in (-5e-3, -2.5e-3, 2.5e-3, 5e-3):
+            alpha = 2.0 + da
+            exact = (alpha ** 2 / (2 * v * w) - alpha * (v + w) / (2 * v * w)
+                     + (v * v + w * w + 3 * v * w) / (12 * v * w))
+            jet = _zeta2_jet(0.0, BarnesParams(alpha, v, w), 1)
+            assert abs(jet[1] - exact) <= 5e-13
 
     def test_pole_errors(self):
         p = BarnesParams(1, 1, 1)

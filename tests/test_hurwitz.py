@@ -15,7 +15,9 @@ from barneszeta import (
     stieltjes_constants,
     zeta2,
 )
+from barneszeta.config import HURWITZ_J, HURWITZ_M
 from barneszeta.errors import AccuracyError, PoleError
+from barneszeta.numerics import _head_length
 
 from conftest import (EULER, GAMMA0_HALF, RAW_STIELTJES_1, ZETA2, ZETA3, ZETA4,
                       zeta2_commensurate_mpmath)
@@ -49,8 +51,8 @@ class TestHurwitzZeta:
 
     def test_complex_continuation_against_mpmath(self):
         # At sigma < 0 the Euler-Maclaurin head terms grow like (m+a)^|sigma|
-        # and cancel, so the attainable double-precision accuracy degrades;
-        # the allowance below tracks that roundoff floor.
+        # and cancel; the head is only as long as the remainder bound needs,
+        # and the worst error seen at sigma < 0.5 was 4.7e-12.
         rng = np.random.default_rng(7)
         for _ in range(12):
             s = complex(-3.0 + 7.0 * rng.random(), -10.0 + 20.0 * rng.random())
@@ -59,7 +61,7 @@ class TestHurwitzZeta:
             a = float(0.25 + 2.0 * rng.random())
             ref = complex(mpmath.zeta(s, a))
             val = hurwitz_zeta(s, a)
-            tol = 1e-7 if s.real < 0.5 else 1e-11
+            tol = 1e-10 if s.real < 0.5 else 1e-11
             assert abs(val - ref) <= tol * max(1.0, abs(ref))
 
     def test_direct_sum_consistency(self):
@@ -81,8 +83,9 @@ class TestHurwitzZeta:
                 for a in (0.25, 0.5, 1.0):
                     val = hurwitz_zeta(s, a)
                     ref = complex(mpmath.zeta(s, a))
-                    # cancellation floor at sigma < 0 (see continuation test)
-                    tol = 1e-6 if sig < 0.5 else 1e-10
+                    # cancellation at sigma < 0 (see continuation test);
+                    # worst seen 3.9e-12
+                    tol = 1e-10
                     assert abs(val - ref) < tol * max(1.0, abs(val))
 
     def test_beyond_head_length_reach_raises(self):
@@ -116,6 +119,15 @@ class TestHurwitzZeta:
         vec = hurwitz_zeta(s, 0.7)
         for si, vi in zip(s, vec):
             assert vi == hurwitz_zeta(complex(si), 0.7)
+        # a batch whose elements sum heads of different lengths, zero to
+        # HURWITZ_M, must still match scalar calls bit for bit
+        s = np.array([-2.5 + 0j, 0.5 + 3j, 2.0 + 0j, 6.0 - 40j])[:, None]
+        a = np.geomspace(0.01, 1e4, 7)
+        sizes = _head_length(s, a, 1.0, HURWITZ_J, 0, HURWITZ_M)
+        assert len(np.unique(sizes)) > 4 and sizes.min() == 0
+        vec = hurwitz_zeta(s, a)
+        for (i, j), vi in np.ndenumerate(vec):
+            assert vi == hurwitz_zeta(complex(s[i, 0]), float(a[j]))
 
     def test_pole_and_domain_errors(self):
         with pytest.raises(PoleError):

@@ -1,10 +1,13 @@
-"""Core numeric kernels: Bernoulli numbers, sawtooth integrals, contour
-coefficient extraction, sequence acceleration, finite differences."""
+"""Core numeric kernels: Bernoulli numbers, Euler-Maclaurin head lengths,
+sawtooth integrals, contour coefficient extraction, sequence acceleration,
+finite differences."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barneszeta import (
     ContourSpec,
@@ -14,9 +17,18 @@ from barneszeta import (
     frac_part_integral_2d,
     richardson_extrapolate,
 )
+from barneszeta.config import DIRECT_M, EM_ORDER, HURWITZ_J, HURWITZ_M
 from barneszeta.errors import DomainError
-from barneszeta.hurwitz import hurwitz_zeta
-from barneszeta.numerics import _frac1d_core, central_difference, e_algorithm
+from barneszeta.hurwitz import _hurwitz_jet, hurwitz_zeta
+from barneszeta.numerics import (
+    _B,
+    _frac1d_core,
+    _head_length,
+    _jet_mul,
+    _jet_pow,
+    central_difference,
+    e_algorithm,
+)
 
 from conftest import (EULER, I2_1114, brute_frac_1d, brute_frac_2d,
                       sawtooth_1d_mpmath)
@@ -42,6 +54,82 @@ class TestBernoulli:
     def test_odd_indices_vanish(self):
         b = bernoulli_numbers(63)
         assert all(b[k] == 0.0 for k in range(3, 64, 2))
+
+
+def _first_omitted(c, h, j_len, g):
+    """|B_{2J+2}/(2J+2)! h^(2J+1) (s)_{2J+1} G(s+2J+1)| per slot below the
+    top, the term ``_em_tail`` checks, for the jet g of G(s+2J+1) about c."""
+    rising = np.zeros_like(g)
+    rising[1] = 1.0
+    for i in range(2 * j_len + 1):
+        nxt = rising * (c + i)
+        nxt[2:] += rising[1:-1]
+        rising = nxt
+    coef = _B[2 * j_len + 2] / math.factorial(2 * j_len + 2) * h ** (2 * j_len + 1)
+    return np.abs(coef * _jet_mul(rising, g))[:-1]
+
+
+def _omitted_bound(c, cut, h, j_len, power):
+    """K cut^(-e), e = Re c + 2J - power: the bound ``_head_length`` documents."""
+    e = c.real + 2 * j_len - power
+    k = (abs(_B[2 * j_len + 2]) / math.factorial(2 * j_len + 2)
+         * h ** (2 * j_len + 1) * (1 + power / e)
+         * math.prod(abs(c + i) + 1 for i in range(2 * j_len + 1)))
+    return k * cut ** -e
+
+
+def _check_head_length(c, a, h, j_len, power, cap, floor, g):
+    """The head length rule at one (c, a): ``g(cut)`` is the jet of
+    G(s+2J+1, cut) that ``_em_tail`` receives."""
+    size = int(_head_length(c, a, h, j_len, power, cap))
+    assert 0 <= size <= cap
+
+    def met(cut, slack=1.0):
+        target = 2.0 ** -53 * min(1.0, cut ** (power - c.real))
+        return _omitted_bound(c, cut, h, j_len, power) <= slack * target
+
+    cut = a + h * max(size, floor)
+    assert np.all(_first_omitted(c, h, j_len, g(cut))
+                  <= (1 + 1e-9) * _omitted_bound(c, cut, h, j_len, power))
+    if size < cap:
+        assert cut >= 1.0 and met(cut)
+    if not met(a + h * cap):
+        assert size == cap
+    if 0 < size < cap:  # the least count: one fewer misses the target
+        prev = a + h * (size - 1)
+        assert prev < 1.0 or not met(prev, 1 - 1e-9)
+
+
+_em_c = st.builds(complex, st.floats(-2.0, 8.0), st.floats(-150.0, 150.0))
+_em_param = st.floats(0.1, 5.0)
+
+
+class TestHeadLength:
+    # Both Euler-Maclaurin levels: the bound holds the first omitted
+    # correction, is below 2^-53 of the tail wherever the head is shorter
+    # than the cap, and the head is the shortest that gets there.
+    @settings(derandomize=True, deadline=None)
+    @given(_em_c, st.floats(math.log(0.01), math.log(1e4)).map(math.exp),
+           st.integers(1, 6))
+    def test_inner_level(self, c, a, n):
+        _check_head_length(
+            c, a, 1.0, HURWITZ_J, 0, HURWITZ_M, 0,
+            lambda cut: _jet_pow(cut, c + 2 * HURWITZ_J + 1, n))
+
+    @settings(derandomize=True, deadline=None)
+    @given(_em_c, _em_param, _em_param, _em_param, st.integers(1, 6))
+    def test_outer_level(self, c, alpha, v, w, n):
+        _check_head_length(
+            c, alpha / w, v / w, EM_ORDER, 1, DIRECT_M, 1,
+            lambda cut: _hurwitz_jet(c + 2 * EM_ORDER + 1, cut, n))
+
+    def test_cap_where_unreachable(self):
+        # the cap where no head meets the target: at Re c + 2J <= power,
+        # where the cut would lie beyond the cap, and for NaN
+        sizes = _head_length(np.array([-24.0, -20.5 + 3j, complex(np.nan)]),
+                             0.7, 1.0, HURWITZ_J, 0, HURWITZ_M)
+        assert list(sizes) == [HURWITZ_M] * 3
+        assert _head_length(-19.0, 0.3, 0.6, EM_ORDER, 1, DIRECT_M) == DIRECT_M
 
 
 class TestContour:
