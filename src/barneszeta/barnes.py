@@ -88,31 +88,30 @@ def zeta2_direct(s, p: BarnesParams, M: int, with_error: bool = False):
     return total, tail + rounding
 
 
-def _zeta2_jet(c, p: BarnesParams, n: int):
-    """Jet of zeta_2(s, alpha; v, w) about s = c, slots eps^-1..eps^n.
+def _row_sum_jet(c, alpha, v, w, n: int):
+    """Jet of T = sum_{m>=0} zeta_H(s, (alpha+m*v)/w) about s = c, slots
+    eps^-1..eps^n; zeta_2 = w^(-s) T.  c and alpha broadcast.  T has poles
+    at s = 1, 2, where its top slot is not exact.
 
-    Row decomposition sum_m w^(-s) zeta_H(s, (alpha+m*v)/w).  G(s, A) =
-    zeta_H(s, A) obeys the rules of A^(-s) (d/dA zeta_H(s) = -s
-    zeta_H(s+1)), so ``_em_tail`` sums the rows beyond the head with h =
-    v/w and EM_ORDER corrections, and raises where its first omitted
-    correction exceeds the rounding floor.  The head has R rows per element
-    of c, chosen by ``_head_length`` (power 1: the slot sum of
-    zeta_H(s+2J+1, A) is at most sum_m (A+m)^(1-Re s-2J-1)), at least 1
-    and at most DIRECT_M.  One Hurwitz jet call covers the head rows up to
-    the largest R, zeroed beyond each element's own, and the cut shifts
-    zeta_H(s+k, a_R), k = -1, 0, 1, 3, ..., 2 EM_ORDER+1; a batch is
-    bitwise equal to scalar calls.  c may be an array.
+    zeta_H(s, A) obeys the rules of A^(-s), so ``_em_tail`` sums (or
+    refuses) the rows beyond 1 to DIRECT_M head rows (``_head_length``,
+    power 1) with h = v/w.  One Hurwitz jet call covers the heads, zeroed
+    beyond each element's own, and the cut shifts zeta_H(s+k, a_R), k = -1,
+    0, 1, 3, ..., 2 EM_ORDER+1, so a batch is bitwise equal to scalar calls.
     """
-    alpha, v, w = p.alpha, p.v, p.w
-    c = np.asarray(c, dtype=complex)
+    c, alpha = np.asarray(c, dtype=complex), np.asarray(alpha, dtype=float)
     size = np.maximum(_head_length(c, alpha / w, v / w, EM_ORDER, 1, DIRECT_M), 1)
     m = np.arange(size.max(initial=0))
     shifts = np.array([0] * len(m) + [-1, 0, *range(1, 2 * EM_ORDER + 2, 2)])
     rows = np.minimum(np.arange(len(shifts)), size[..., None])  # row R repeats
-    zh = _hurwitz_jet(c[..., None] + shifts, (alpha + v * rows) / w, n)
+    zh = _hurwitz_jet(c[..., None] + shifts, (alpha[..., None] + v * rows) / w, n)
     head = np.where((m < size[..., None])[..., None], zh[..., :len(m), :], 0.0)
-    total = _em_tail(c, v / w, head.sum(axis=-2), zh[..., len(m):, :])
-    return _jet_mul(_jet_pow(w, c, n), total)
+    return _em_tail(c, v / w, head.sum(axis=-2), zh[..., len(m):, :])
+
+
+def _zeta2_jet(c, p: BarnesParams, n: int):
+    """Jet of zeta_2(s, alpha; v, w) = w^(-s) T about s = c, any shape of c."""
+    return _jet_mul(_jet_pow(p.w, c, n), _row_sum_jet(c, p.alpha, p.v, p.w, n))
 
 
 def zeta2(s, p: BarnesParams):
@@ -127,9 +126,7 @@ def zeta2(s, p: BarnesParams):
     if np.any(s_in == 2.0):
         raise PoleError(2)
     out = _zeta2_jet(s_in, p, 1)[..., 1]
-    if s_in.ndim == 0:
-        return complex(out)
-    return out
+    return complex(out) if s_in.ndim == 0 else out
 
 
 def zeta2_integral_rep(s, p: BarnesParams):

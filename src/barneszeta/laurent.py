@@ -1,8 +1,8 @@
 """Laurent coefficients of the Barnes double zeta-function at s = 2 and
 s = 1, from the Euler-Maclaurin jet, by finite-M limit formulas, and by the
 closed integral representation of the constant term at s = 2.  The limit
-formulas sum the lattice row by row, each row an exact difference of two
-Hurwitz jets, so one pass gives every order.
+formulas sum the lattice as Hurwitz row heads minus strips of outer row
+sums, one pass over max(M)+1 rows for every order.
 
 Coefficients are raw Laurent coefficients:
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barnes import BarnesParams, _zeta2_jet
+from .barnes import BarnesParams, _row_sum_jet, _zeta2_jet
 from .errors import ConsistencyError
 from .hurwitz import _hurwitz_jet, hurwitz_zeta
 from .numerics import (
@@ -135,24 +135,27 @@ def gamma0_at_2_integral(p: BarnesParams) -> float:
 def _lattice_log_sums(p: BarnesParams, k_max: int, m_list, power: int = 2):
     """{M: [S_0, .., S_k_max]}, S_k = sum_{m,n<=M} log^k(A)/A^power.
 
-    Each row over n is an exact Hurwitz difference,
-    sum_{n<=M} A^-s = w^-s [zeta_H(s, a_m) - zeta_H(s, a_m+M+1)] with
-    a_m = (alpha+m v)/w, taken on the jet about s = power, whose slot k is
-    sum (-log A)^k/k! A^-power.  The head jets are shared by every M via
-    a prefix sum over m.  At s = 1 the pole slots cancel exactly, but the
-    product with w^-s needs one order more.
+    Rows over n are exact Hurwitz differences, sum_{n<=M} A^-s = w^-s
+    [zeta_H(s, a_m) - zeta_H(s, a_m+M+1)], a_m = (alpha+m v)/w, on the jet
+    about s = power (slot k: sum (-log A)^k/k! A^-power).  The heads are one
+    prefix sum over m <= max(M).  Each M's strip of tails is T(alpha+(M+1)w)
+    - T(alpha+(M+1)(v+w)), T the outer row sum (``_row_sum_jet``), all from
+    one call.  Jets with a pole (T, and the heads at s = 1) take one order
+    more.  The pole slot of head minus strip cancels exactly and is set to
+    0.  v <= w keeps the outer step v/w <= 1.
     """
+    alpha, v, w = p.alpha, min(p.v, p.w), max(p.v, p.w)
     n = k_max + (power == 1)
-    a = (p.alpha + p.v * np.arange(max(m_list) + 1)) / p.w
-    heads = np.cumsum(_hurwitz_jet(power, a, n), axis=0)
-    w_pow = _jet_pow(p.w, power, n)
-    signs = [(-1) ** k * math.factorial(k) for k in range(k_max + 1)]
-    out = {}
-    for m in m_list:
-        rows = heads[m] - _hurwitz_jet(power, a[:m + 1] + m + 1, n).sum(axis=0)
-        jet = _jet_mul(w_pow, rows).real
-        out[m] = [sg * float(jet[k + 1]) for k, sg in enumerate(signs)]
-    return out
+    ms = np.array(m_list)
+    a = (alpha + v * np.arange(ms.max() + 1)) / w
+    heads = np.cumsum(_hurwitz_jet(power, a, n), axis=0)[ms]
+    starts = alpha + (ms + 1) * np.array([[w], [v + w]])
+    outer = _row_sum_jet(power, starts, v, w, n + 1)[..., :-1]
+    rows = heads - (outer[0] - outer[1])
+    rows[:, 0] = 0.0
+    jet = _jet_mul(_jet_pow(w, power, n), rows).real
+    return {m: [(-1) ** k * math.factorial(k) * float(jet[i, k + 1])
+                for k in range(k_max + 1)] for i, m in enumerate(m_list)}
 
 
 def _counterterm(p: BarnesParams, k: int, m: int) -> float:

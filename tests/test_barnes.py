@@ -19,7 +19,7 @@ from barneszeta import (
     zeta2_integral_rep,
     zeta2_s_derivatives_at_0,
 )
-from barneszeta.barnes import _zeta2_jet
+from barneszeta.barnes import _row_sum_jet, _zeta2_jet
 from barneszeta.config import DIRECT_M, EM_ORDER
 from barneszeta.errors import AccuracyError, DomainError, PoleError
 from barneszeta.numerics import ContourSpec, _head_length, contour_coefficients
@@ -154,6 +154,18 @@ class TestZeta2:
         vec = zeta2(s, p)
         for si, vi in zip(s, vec):
             assert vi == zeta2(complex(si), p)
+
+    def test_row_sum_vectorized_over_alpha(self):
+        # the lattice strips batch the outer row sum over its start alpha;
+        # row counts from 1 to 37 are zero-padded up to the longest
+        v, w = 1.3, 2.1
+        alphas = np.array([0.01, 0.7, 3.0, 30.0, 2.1 * 65, 3.4 * 4097, 1e4])
+        for c in (2.0, 1.0, 0.5 + 30j):
+            rows = _head_length(c, alphas / w, v / w, EM_ORDER, 1, DIRECT_M)
+            assert len(np.unique(np.maximum(rows, 1))) >= 3
+            vec = _row_sum_jet(c, alphas, v, w, 4)
+            for ai, vi in zip(alphas, vec):
+                assert np.array_equal(vi, _row_sum_jet(c, ai, v, w, 4))
 
     def test_near_zero(self):
         # a fixed 64-row head leaves 1.7e-10 relative here; worst seen 1.9e-13

@@ -20,6 +20,9 @@ from barneszeta import (
     stieltjes_constants,
     zeta2,
 )
+from barneszeta import barnes, laurent
+from barneszeta.barnes import _row_sum_jet
+from barneszeta.hurwitz import _hurwitz_jet
 from barneszeta.laurent import _lattice_log_sums
 
 from conftest import (EULER, LAURENT_LOPSIDED_S1, LAURENT_V_EQ_W,
@@ -190,10 +193,10 @@ class TestGammakAt2Limit:
 
 class TestLatticeLogSums:
     @pytest.mark.parametrize("triple", [(0.7, 1.3, 2.1), (2.5, 0.5, 2.5),
-                                        (0.1, 4.9, 0.1)])
+                                        (0.1, 4.9, 0.1), (0.1, 0.1, 4.9)])
     def test_row_differences_match_brute_grid(self, triple):
         p = BarnesParams(*triple)
-        ms = (16, 64, 1024)
+        ms = (16, 64, 1024, 4096)
         sums2 = _lattice_log_sums(p, 2, ms)
         sums1 = _lattice_log_sums(p, 0, ms, power=1)
         for m in ms:
@@ -202,3 +205,49 @@ class TestLatticeLogSums:
                 assert abs(sums2[m][k] - ref) <= 1e-13 * abs(ref), (m, k)
             ref = brute_lattice_log_sums(p, 0, m, 1)
             assert abs(sums1[m][0] - ref) <= 1e-13 * abs(ref), m
+
+    @pytest.mark.parametrize("triple", [(0.1, 4.9, 0.1), (2.5, 0.5, 2.5),
+                                        (0.7, 2.1, 1.3)])
+    def test_swap_symmetric(self, triple):
+        # the outer step is v/w <= 1 whichever way (v, w) is given
+        p = BarnesParams(*triple)
+        for power in (1, 2):
+            assert (_lattice_log_sums(p, 2, (16, 4096), power)
+                    == _lattice_log_sums(p.swapped(), 2, (16, 4096), power))
+
+    @pytest.mark.parametrize("triple", [(0.7, 1.3, 2.1), (2.5, 0.5, 2.5),
+                                        (5.0, 5.0, 5.0), (0.1, 0.1, 0.1),
+                                        (0.1, 0.1, 4.9)])
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_strip_matches_row_by_row(self, triple, power):
+        # sum_{m<=M} zeta_H(s, a_m+M+1) as a difference of two outer row
+        # sums, against the sum of its M+1 Hurwitz jets, slots eps^0..eps^3
+        alpha, v, w = triple
+        a = (alpha + v * np.arange(65)) / w
+        for m in (16, 64):
+            outer = _row_sum_jet(power, [alpha + (m + 1) * w,
+                                         alpha + (m + 1) * (v + w)], v, w, 5)
+            strip = (outer[0] - outer[1])[1:5]
+            ref = _hurwitz_jet(power, a[:m + 1] + m + 1, 5)[:, 1:5].sum(axis=0)
+            err = np.abs(strip - ref)
+            if v / w > 0.1:
+                assert np.all(err <= 1e-14 * np.abs(ref)), (m, err / np.abs(ref))
+            else:
+                # v/w = 1/49: the strip is about 150x smaller than the row
+                # sums it is the difference of, and that sets its error
+                scale = np.abs(outer[0]) + np.abs(outer[1])
+                assert np.all(err <= 1e-15 * scale[1:5]), (m, err / scale[1:5])
+
+    def test_hurwitz_work_of_default_limit(self, monkeypatch):
+        # heads over max(M)+1 = 4097 rows plus 14 outer starts of 14 rows
+        # each; summing each M's tail row by row took 12,232
+        count = []
+
+        def counted(c, a, n):
+            count.append(np.broadcast(np.asarray(c), np.asarray(a)).size)
+            return _hurwitz_jet(c, a, n)
+
+        monkeypatch.setattr(barnes, "_hurwitz_jet", counted)
+        monkeypatch.setattr(laurent, "_hurwitz_jet", counted)
+        gammak_at_2_limit(BarnesParams(0.7, 1.3, 2.1), 2)
+        assert sum(count) <= 4400, sum(count)
