@@ -25,7 +25,6 @@ from .errors import (
 )
 from .hurwitz import (
     StieltjesTable,
-    gamma0_integral,
     hurwitz_zeta,
     riemann_zeta,
     stieltjes_constants,

@@ -12,10 +12,11 @@ import numpy as np
 
 from .config import DIRECT_M, EM_ORDER
 from .errors import AccuracyError, DomainError, PoleError
-from .hurwitz import _hurwitz_jet, hurwitz_zeta
+from .hurwitz import hurwitz_zeta
 from .numerics import (
     _em_tail,
     _head_length,
+    _hurwitz_jet,
     _jet_mul,
     _jet_pow,
     frac_part_integral_1d,
@@ -129,29 +130,34 @@ def zeta2(s, p: BarnesParams):
     return complex(out) if s_in.ndim == 0 else out
 
 
-def zeta2_integral_rep(s, p: BarnesParams):
-    """Seven-term integral representation of zeta_2, valid for Re(s) > 1.
+def _integral_rep_regular(s, p: BarnesParams):
+    """Every term of the integral representation of zeta_2 but the one
+    carrying both poles, alpha^(2-s)/(vw(s-1)(s-2)): closed Hurwitz terms,
+    two 1-D and one 2-D sawtooth integrals.  Re(s) > 1.
+    """
+    alpha, v, w = p.alpha, p.v, p.w
+    return (
+        -alpha ** (-s)
+        + v ** (-s) * hurwitz_zeta(s, alpha / v)
+        + w ** (-s) * hurwitz_zeta(s, alpha / w)
+        - (w / v) * frac_part_integral_1d(alpha, w, s)
+        - (v / w) * frac_part_integral_1d(alpha, v, s)
+        + v * w * s * (s + 1.0) * frac_part_integral_2d(alpha, v, w, s + 2.0)
+    )
 
-    Closed Hurwitz terms, a rational term carrying both poles, two 1-D and
-    one 2-D sawtooth integrals.  Used as an independent cross-check of
-    :func:`zeta2` near s = 2.
+
+def zeta2_integral_rep(s, p: BarnesParams):
+    """Seven-term integral representation of zeta_2, valid for Re(s) > 1:
+    ``_integral_rep_regular`` plus the rational term carrying both poles.
+    An independent cross-check of :func:`zeta2` near s = 2.
     """
     s = complex(s)
     if s.real <= 1:
         raise DomainError("zeta2_integral_rep requires Re(s) > 1")
     if s in (1.0 + 0j, 2.0 + 0j):
         raise PoleError(int(s.real))
-    alpha, v, w = p.alpha, p.v, p.w
-    value = (
-        -alpha ** (-s)
-        + v ** (-s) * hurwitz_zeta(s, alpha / v)
-        + w ** (-s) * hurwitz_zeta(s, alpha / w)
-        + alpha ** (2.0 - s) / (v * w * (s - 1.0) * (s - 2.0))
-        - (w / v) * frac_part_integral_1d(alpha, w, s)
-        - (v / w) * frac_part_integral_1d(alpha, v, s)
-        + v * w * s * (s + 1.0) * frac_part_integral_2d(alpha, v, w, s + 2.0)
-    )
-    return value
+    return (_integral_rep_regular(s, p)
+            + p.alpha ** (2.0 - s) / (p.v * p.w * (s - 1.0) * (s - 2.0)))
 
 
 def zeta2_s_derivatives_at_0(p: BarnesParams, k_max: int):

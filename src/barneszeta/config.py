@@ -6,9 +6,10 @@ EM_ORDER         number of even-index Bernoulli correction terms (outer)
 HURWITZ_M        cap on the head length of the Hurwitz zeta Euler-Maclaurin
                  sum; the length is chosen from (s, a)
 HURWITZ_J        Bernoulli correction terms inside the Hurwitz evaluator
-QUAD_CELL_ORDER  Gauss-Legendre points per unit cell of the sawtooth integrals
-QUAD_MAX_CELLS   hard cap on the number of cells
-QUAD_TAIL_TOL    absolute tolerance allotted to the analytic tail
+QUAD_CELL_ORDER  Gauss-Legendre points per cell piece of the 2-D sawtooth
+                 integral (the 1-D one is in closed form)
+QUAD_MAX_CELLS   hard cap on the number of its cell pieces
+QUAD_TAIL_TOL    absolute tolerance allotted to its analytic tail
 FD_STEP          central-difference step of the verify alpha-derivatives
                  (capped at alpha/4)
 
@@ -23,7 +24,7 @@ HURWITZ_M = 64
 HURWITZ_J = 12
 QUAD_CELL_ORDER = 12
 QUAD_MAX_CELLS = 200_000
-QUAD_TAIL_TOL = 1e-10
+QUAD_TAIL_TOL = 1e-13
 FD_STEP = 5e-3
 
 SNAPSHOT = {

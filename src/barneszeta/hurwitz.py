@@ -12,27 +12,18 @@ classically normalized Stieltjes constant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import HURWITZ_J, HURWITZ_M
 from .errors import PoleError
-from .numerics import (
-    _JET_REL_ERR,
-    _em_tail,
-    _head_length,
-    _jet_pow,
-    frac_part_integral_1d,
-)
+from .numerics import _JET_REL_ERR, _hurwitz_jet
 
 __all__ = [
     "StieltjesTable",
     "hurwitz_zeta",
     "riemann_zeta",
     "stieltjes_constants",
-    "gamma0_integral",
 ]
 
 
@@ -49,31 +40,6 @@ class StieltjesTable:
             raise ValueError("a must be positive")
         if len(self.gammas) != len(self.errs):
             raise ValueError("gammas and errs must have equal length")
-
-
-def _hurwitz_jet(c, a, n: int):
-    """Jet of zeta_H(s, a) about s = c, slots eps^-1..eps^n.
-
-    ``_em_tail`` with G = A^(-s), h = 1 and HURWITZ_J corrections at the
-    cut A = N + a, where G(s+k) is A^(-k) A^(-s).  The head length N is
-    chosen per element by ``_head_length`` (power 0): the least N whose
-    first omitted correction is below 2^-53 of the tail, at most HURWITZ_M.
-    Terms are summed up to the largest N and zeroed beyond each element's
-    own, so a batch is bitwise equal to scalar calls.  c and a broadcast;
-    the jet is on a new last axis.  Raises AccuracyError where the first
-    omitted correction at N = HURWITZ_M exceeds the jet's rounding floor,
-    which happens for |Im c| beyond about 150-200.
-    """
-    c = np.asarray(c, dtype=complex)
-    a = np.asarray(a, dtype=float)
-    size = _head_length(c, a, 1.0, HURWITZ_J, 0, HURWITZ_M)
-    m = np.arange(size.max(initial=0))
-    terms = _jet_pow(a[..., None] + m, c[..., None], n)
-    head = np.where((m < size[..., None])[..., None], terms, 0.0).sum(axis=-2)
-    base = a + size
-    k = np.array([-1, 0, *range(1, 2 * HURWITZ_J + 2, 2)])
-    cut = (base[..., None] ** -k)[..., None] * _jet_pow(base, c, n)[..., None, :]
-    return _em_tail(c, 1.0, head, cut)
 
 
 def hurwitz_zeta(s, a):
@@ -113,21 +79,3 @@ def stieltjes_constants(a: float, k_max: int) -> StieltjesTable:
     gammas = tuple(float(g.real) for g in jet[1:k_max + 2])
     errs = tuple(_JET_REL_ERR * max(1.0, abs(g)) for g in gammas)
     return StieltjesTable(a=a, gammas=gammas, errs=errs)
-
-
-def gamma0_integral(a: float) -> float:
-    """g_0(a) = 1/a - log a - integral_0^inf (x-[x])/(x+a)^2 dx, 0 < a <= 1.
-
-    From sum_{m<=M} 1/(m+a) = 1/a + log((M+a)/a) - int_0^M (x-[x])/(x+a)^2;
-    the log a term vanishes at a = 1, where this is the Euler constant.
-    The first unit cell (a boundary layer of width a for small a) is
-    integrated in closed form, leaving a shifted sawtooth integral whose
-    integrand is smooth on every cell:
-
-        g_0(a) = 1/a + 1/(1+a) - log(1+a)
-                 - integral_0^inf (y-[y])/(y+1+a)^2 dy.
-    """
-    if not 0 < a <= 1:
-        raise ValueError("a must be in (0, 1]")
-    val = frac_part_integral_1d(1.0 + a, 1.0, 2.0)
-    return 1.0 / a + 1.0 / (1.0 + a) - math.log(1.0 + a) - val.real

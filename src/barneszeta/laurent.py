@@ -16,15 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barnes import BarnesParams, _row_sum_jet, _zeta2_jet
+from .barnes import BarnesParams, _integral_rep_regular, _row_sum_jet, _zeta2_jet
 from .errors import ConsistencyError
-from .hurwitz import _hurwitz_jet, hurwitz_zeta
+from .hurwitz import _hurwitz_jet
 from .numerics import (
     _JET_REL_ERR,
     _jet_mul,
     _jet_pow,
-    frac_part_integral_1d,
-    frac_part_integral_2d,
     richardson_extrapolate,
 )
 
@@ -111,25 +109,12 @@ def laurent_at_1(p: BarnesParams, k_max: int) -> LaurentExpansion:
 
 
 def gamma0_at_2_integral(p: BarnesParams) -> float:
-    """Constant term at s = 2 via the closed integral representation:
-
-    g_0(2) = -1/alpha^2 - (1+log alpha)/(v w)
-             + zeta_H(2, alpha/v)/v^2 + zeta_H(2, alpha/w)/w^2
-             - (w/v) I(alpha, w) - (v/w) I(alpha, v)
-             + 6 v w J(alpha, v, w)
-
-    with I the 1-D and J the 2-D sawtooth integral at exponents 2 and 4.
+    """Constant term at s = 2 via the closed integral representation,
+    g_0(2) = R(2) - (1+log alpha)/(v w): R is ``_integral_rep_regular``, and
+    the rational term alpha^(2-s)/(vw(s-1)(s-2)) gives the log term.
     """
-    alpha, v, w = p.alpha, p.v, p.w
-    return float(
-        -1.0 / alpha ** 2
-        - (1.0 + math.log(alpha)) / (v * w)
-        + hurwitz_zeta(2.0, alpha / v).real / v ** 2
-        + hurwitz_zeta(2.0, alpha / w).real / w ** 2
-        - (w / v) * frac_part_integral_1d(alpha, w, 2.0).real
-        - (v / w) * frac_part_integral_1d(alpha, v, 2.0).real
-        + 6.0 * v * w * frac_part_integral_2d(alpha, v, w, 4.0).real
-    )
+    return float(_integral_rep_regular(2.0, p).real
+                 - (1.0 + math.log(p.alpha)) / (p.v * p.w))
 
 
 def _lattice_log_sums(p: BarnesParams, k_max: int, m_list, power: int = 2):

@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
-Bernoulli numbers, jets in s, quadrature of sawtooth-kernel integrals,
-sequence extrapolation with log-power remainder models, and circle-contour
-extraction of Taylor/Laurent coefficients.
+Bernoulli numbers, jets in s, the Euler-Maclaurin sum and the Hurwitz jet,
+the sawtooth integrals (1-D in closed form, 2-D by Gauss cells), sequence
+extrapolation, and circle-contour extraction of Taylor/Laurent coefficients.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import QUAD_CELL_ORDER, QUAD_MAX_CELLS, QUAD_TAIL_TOL
+from .config import (HURWITZ_J, HURWITZ_M, QUAD_CELL_ORDER, QUAD_MAX_CELLS,
+                     QUAD_TAIL_TOL)
 from .errors import AccuracyError, DomainError
 
 __all__ = [
@@ -188,100 +189,130 @@ def _em_tail(c, h, head, cut):
     return out
 
 
-def _gauss_cell(order: int):
-    """Gauss-Legendre nodes/weights mapped to the unit interval (0, 1)."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+def _hurwitz_jet(c, a, n: int):
+    """Jet of zeta_H(s, a) about s = c, slots eps^-1..eps^n.
 
-
-_TAIL_TERMS = 3  # Euler-Maclaurin correction terms kept in the tail
-
-
-def _sawtooth(G, a, h, s, k, q, tol):
-    """integral_0^inf (y-[y]) G(s, a+h*y) dy over an array of a > 0.
-
-    ``G(sigma, A)`` returns (values, err) and obeys the rules of A^(-sigma):
-    d/dA G(sigma) = -sigma G(sigma+1), integral_A^inf G(sigma) =
-    G(sigma-1, A)/(sigma-1).  A Gauss rule covers the cells of [0, N), where
-    the sawtooth is smooth.  Beyond N its mean 1/2 and the periodic-Bernoulli
-    corrections leave G at shifted exponents at A_N = a+h*N.  N is the least
-    count whose first omitted correction is below tol/2, given
-    |G(s+2J, A)| <= k A^(-q); N > QUAD_MAX_CELLS raises AccuracyError before
-    any evaluation.  err is tol/2 plus the errors of G (1/2 per cell, the
-    sawtooth mean) plus rounding.
+    ``_em_tail`` with G = A^(-s), h = 1 and HURWITZ_J corrections at the
+    cut A = N + a, where G(s+k) is A^(-k) A^(-s).  The head length N is
+    chosen per element by ``_head_length`` (power 0): the least N whose
+    first omitted correction is below 2^-53 of the tail, at most HURWITZ_M.
+    Terms are summed up to the largest N and zeroed beyond each element's
+    own, so a batch is bitwise equal to scalar calls.  c and a broadcast;
+    the jet is on a new last axis.  Raises AccuracyError where the first
+    omitted correction at N = HURWITZ_M exceeds the jet's rounding floor,
+    which happens for |Im c| beyond about 150-200.
     """
+    c = np.asarray(c, dtype=complex)
     a = np.asarray(a, dtype=float)
-    # (exponent, coefficient) of each tail term; the last is the first omitted
-    tail = [(s - 1.0, 0.5 / (h * (s - 1.0)))] + [
-        (s + 2 * j - 2, -_B[2 * j] / math.factorial(2 * j) * h ** (2 * j - 2)
-         * math.prod(s + i for i in range(2 * j - 2)))  # (s)_{2j-2}
-        for j in range(1, _TAIL_TERMS + 2)]
-    # smallest N with the first omitted correction below tol/2
-    base = (abs(tail[-1][1]) * k / (0.5 * tol)) ** (1.0 / q)
-    n_cells = max(1, int(math.ceil((base - float(np.min(a))) / h)))
-    if n_cells > QUAD_MAX_CELLS:
-        raise AccuracyError(
-            f"cell budget exhausted ({n_cells} > {QUAD_MAX_CELLS})")
-    xi, wts = _gauss_cell(QUAD_CELL_ORDER)
-    g, g_err = G(s, a[..., None, None] + h * (np.arange(n_cells)[:, None] + xi))
-    vals = np.tensordot(g * xi, wts, axes=([-1], [0])).sum(axis=-1)
-    err = 0.5 * tol + 0.5 * n_cells * g_err
-    for sig, coef in tail[:-1]:
-        g, g_err = G(sig, a + h * n_cells)
-        vals = vals + coef * g
-        err += abs(coef) * g_err
-    err += 1e-15 * float(np.max(np.abs(vals))) * math.sqrt(n_cells)
-    return vals, float(err)
-
-
-def _frac1d_core(a, c, s, tol):
-    """Vectorized integral_0^inf (x-[x]) (a+cx)^(-s) dx over an array of a.
-
-    ``tol`` is the absolute tolerance of the analytic tail.  Returns
-    (values, error_bound).  Caller guarantees Re(s) > 1 and a > 0.
-    """
-    return _sawtooth(lambda sig, x: (x ** -sig, 0.0), a, c, s, 1.0,
-                     s.real + 2 * _TAIL_TERMS, tol)
+    size = _head_length(c, a, 1.0, HURWITZ_J, 0, HURWITZ_M)
+    m = np.arange(size.max(initial=0))
+    terms = _jet_pow(a[..., None] + m, c[..., None], n)
+    head = np.where((m < size[..., None])[..., None], terms, 0.0).sum(axis=-2)
+    base = a + size
+    k = np.array([-1, 0, *range(1, 2 * HURWITZ_J + 2, 2)])
+    cut = (base[..., None] ** -k)[..., None] * _jet_pow(base, c, n)[..., None, :]
+    return _em_tail(c, 1.0, head, cut)
 
 
 def frac_part_integral_1d(a, c, s, with_error: bool = False):
-    """integral_0^inf (x-[x]) (a+cx)^(-s) dx for Re(s) > 1.
+    """integral_0^inf (x-[x]) (a+cx)^(-s) dx for Re(s) > 1, in closed form.
 
-    Integrated cell-by-cell over [j, j+1] where the sawtooth is smooth,
-    with an Euler-Maclaurin tail beyond the last cell.  ``with_error``
-    additionally returns the absolute error bound.
+    Summing the cells by parts gives I_1 = [a^(1-s) + a^(2-s)/(c(s-2))
+    - c^(1-s) zeta_H(s-1, a/c)] / (c(s-1)), taken on jets about s so that
+    the poles of the last two terms at s = 2 cancel exactly.  The bar
+    (``with_error``) is the jet floor of the largest bracket term over
+    c|s-1|; it covers the cancellation near s = 2 and at large a/c.
     """
     s = complex(s)
     if not (a > 0 and c > 0):
         raise ValueError("a and c must be positive")
     if s.real <= 1:
         raise DomainError("frac_part_integral_1d requires Re(s) > 1")
-    vals, err = _frac1d_core(np.asarray(a, dtype=float), c, s, QUAD_TAIL_TOL)
-    value = complex(vals)
+    pow_a = _jet_pow(a, s, 1)
+    terms = np.stack([
+        a * pow_a,
+        a * a / c * _jet_mul(pow_a, _jet_recip(s - 1.0, 1)),
+        -c * _jet_mul(_jet_pow(c, s, 1), _hurwitz_jet(s - 1.0, a / c, 1))])
+    bracket = terms.sum(axis=0)
+    bracket[0] = 0.0  # the bracket is analytic at s = 2
+    value = complex(_jet_mul(bracket, _jet_recip(s, 1))[1]) / c
+    err = _JET_REL_ERR * float(np.abs(terms[:, :2]).max()) / (c * abs(s - 1.0))
     return (value, err) if with_error else value
+
+
+_TAIL_TERMS = 5  # Euler-Maclaurin correction terms kept in the 2-D tail
+
+
+def _gauss_rule(n: int):
+    """Gauss-Legendre nodes and weights on (0, 1), by Golub-Welsch."""
+    k = np.arange(1.0, n)  # off-diagonal of the Jacobi matrix: k/sqrt(4k^2-1)
+    x, vec = np.linalg.eigh(np.diag(k / np.sqrt(4 * k * k - 1), 1), UPLO="U")
+    return 0.5 * (x + 1.0), vec[0] ** 2
+
+
+# the sawtooth cell rule, and the half-order rule that estimates its error
+(_XC, _WC), (_XH, _WH) = map(_gauss_rule, (QUAD_CELL_ORDER, QUAD_CELL_ORDER // 2))
 
 
 def frac_part_integral_2d(alpha, v, w, s, with_error: bool = False):
     """integral_0^inf integral_0^inf (x-[x])(y-[y]) (alpha+v*y+w*x)^(-s) dx dy.
 
-    Requires Re(s) > 2.  The inner x-integral I(A; w, sigma) is the 1-D
-    sawtooth integral at A = alpha+v*y.  It obeys the two rules of
-    A^(-sigma), d/dA I(sigma) = -sigma I(sigma+1) and integral_A^inf
-    I(sigma) = I(sigma-1, A)/(sigma-1), so the outer y-integral is the same
-    cell-plus-tail scheme with I in place of the power.  Since x-[x] < 1,
-    |I(sigma, A)| <= A^(1-sigma)/(w (sigma-1)), which sizes the outer cells.
+    Re(s) > 3.  Scaled by c^(-s) to c = max(v, w) = 1, h = min(v, w)/c, the
+    inner integral at A = alpha+h*y is the 1-D closed form less its A^(1-s)
+    term, which cancels the first Hurwitz term: A^(2-s)/((s-1)(s-2)) +
+    G(s, A), G(sigma, A) = -zeta_H(sigma-1, A+1)/(sigma-1).  The first part
+    holds the boundary layer at y = 0 and integrates to I_1(alpha; h, s-2)
+    /((s-1)(s-2)), removably singular at s = 3.  G is analytic for A > -1
+    and obeys the rules of A^(-sigma): Gauss cells on [0, N), cut into
+    pieces over which its phase turns by at most 2 radians, then the
+    sawtooth mean and Bernoulli corrections at A_N = alpha+h*N, N set by
+    QUAD_TAIL_TOL/2 on the first omitted one; over QUAD_MAX_CELLS pieces
+    raise AccuracyError.  The bar adds the first part's, QUAD_TAIL_TOL/2,
+    the difference against the half-order rule, and the jet floor.
     """
     s = complex(s)
     if not (alpha > 0 and v > 0 and w > 0):
         raise ValueError("alpha, v, w must be positive")
-    if s.real <= 2:
-        raise DomainError("frac_part_integral_2d requires Re(s) > 2")
-    q = s.real + 2 * _TAIL_TERMS - 1
-    vals, err = _sawtooth(
-        lambda sig, x: _frac1d_core(x, w, sig, QUAD_TAIL_TOL / 10.0),
-        alpha, v, s, 1.0 / (w * q), q, QUAD_TAIL_TOL)
-    value = complex(vals)
-    return (value, err) if with_error else value
+    if s.real <= 3:
+        raise DomainError("frac_part_integral_2d requires Re(s) > 3")
+    c = max(v, w)
+    alpha, h = alpha / c, min(v, w) / c
+    first, first_err = frac_part_integral_1d(alpha, h, s - 2.0, with_error=True)
+    scale = 1.0 / ((s - 1.0) * (s - 2.0))
+    # exponent and coefficient of each tail term; the last is the first omitted
+    sig = s + np.array([-1.0, *range(0, 2 * _TAIL_TERMS + 1, 2)])
+    coef = np.array([0.5 / (h * (s - 1.0))] + [
+        -_B[2 * j] / math.factorial(2 * j) * h ** (2 * j - 2)
+        * math.prod(s + i for i in range(2 * j - 2))  # (s)_{2j-2}
+        for j in range(1, _TAIL_TERMS + 2)])
+    q = s.real + 2 * _TAIL_TERMS - 2  # |G| <= A^-q/(q (q+1)) at sig[-1]
+    base = (abs(coef[-1]) / (q * (q + 1) * 0.5 * QUAD_TAIL_TOL)) ** (1 / q)
+    # capped, so that an over-budget count fails the check below unallocated
+    n_cells = max(1, math.ceil(min(QUAD_MAX_CELLS + 1, (base - alpha) / h)))
+    # G turns by |Im s| log((A+1+h)/(A+1)) over a cell, a piece by at most 2
+    turn = abs(s.imag) * np.log1p(h / (alpha + 1.0 + h * np.arange(n_cells)))
+    pieces = np.ceil(np.clip(turn / 2.0, 1, QUAD_MAX_CELLS)).astype(int)
+    if pieces.sum() > QUAD_MAX_CELLS:
+        raise AccuracyError(f"cell budget of {QUAD_MAX_CELLS} pieces exhausted")
+    width = np.repeat(1.0 / pieces, pieces)[:, None]
+    frac = (np.concatenate([np.arange(m) for m in pieces])[:, None]
+            + np.concatenate([_XC, _XH])) * width
+    # G on every node of every piece, then at the cut for each kept tail
+    # term, in chunks of 8192 points that bound the memory of the jets
+    y = np.append(np.repeat(np.arange(n_cells), pieces)[:, None] + frac,
+                  [n_cells] * (len(sig) - 1))
+    sig_y = np.append(np.full(frac.size, s), sig[:-1])
+    g = np.concatenate([
+        _hurwitz_jet(sig_y[i:i + 8192] - 1.0, alpha + h * y[i:i + 8192] + 1.0,
+                     1)[:, 1] for i in range(0, y.size, 8192)]) / (1.0 - sig_y)
+    terms = width * frac * g[:frac.size].reshape(frac.shape)
+    full, half = terms[:, :len(_XC)] @ _WC, terms[:, len(_XC):] @ _WH
+    tails = coef[:-1] * g[frac.size:]
+    value = c ** -s * complex(first * scale + full.sum() + tails.sum())
+    err = c ** -s.real * (
+        abs(first_err * scale) + 0.5 * QUAD_TAIL_TOL + abs(full - half).sum()
+        + _JET_REL_ERR * (abs(full).sum() + abs(tails).sum()))
+    return (value, float(err)) if with_error else value
 
 
 def richardson_extrapolate(values, model: int):

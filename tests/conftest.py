@@ -132,6 +132,26 @@ def zeta2_commensurate_mpmath(s, alpha, p, q, t):
         return complex((p * q * t) ** (-s) * total)
 
 
+def sawtooth_2d_mpmath(alpha, p, q, t, s):
+    """The 2-D sawtooth integral at (alpha; p t, q t), integers p, q >= 1.
+
+    Solved from the seven-term integral representation at s - 2, with the
+    commensurate closed form of zeta_2 and the 1-D closed form:
+      J(s) = [zeta_2(s-2) - the six other terms] / (v w (s-2)(s-1)).
+    """
+    v, w = p * t, q * t
+    with mpmath.workdps(40):
+        r = mpmath.mpmathify(s) - 2
+        a = mpmath.mpf(alpha)
+        other = (-a ** (-r) + mpmath.mpf(v) ** (-r) * mpmath.zeta(r, a / v)
+                 + mpmath.mpf(w) ** (-r) * mpmath.zeta(r, a / w)
+                 + a ** (2 - r) / (v * w * (r - 1) * (r - 2))
+                 - mpmath.mpf(w) / v * sawtooth_1d_mpmath(alpha, w, r)
+                 - mpmath.mpf(v) / w * sawtooth_1d_mpmath(alpha, v, r))
+        zeta2 = zeta2_commensurate_mpmath(r, alpha, p, q, t)
+        return complex((zeta2 - other) / (v * w * r * (r + 1)))
+
+
 def brute_frac_2d(alpha, v, w, s, t_max, h):
     """Midpoint-rule oracle for the 2-D sawtooth integral (chunked)."""
     x = np.arange(0.0, t_max, h) + h / 2.0

@@ -238,6 +238,14 @@ class TestIntegralRep:
         direct, tail = zeta2_direct(3.0, p, 8000, with_error=True)
         assert abs(zeta2_integral_rep(3.0, p) - direct) <= tail + 1e-6
 
+    def test_lopsided_against_commensurate(self):
+        # a boundary layer of width alpha/v = 1/49 in both sawtooth
+        # integrals; worst seen 5.6e-15 relative
+        for s in (2.05 + 20j, 1.5 + 3j):
+            ref = zeta2_commensurate_mpmath(s, 0.1, 49, 1, 0.1)
+            for p in (BarnesParams(0.1, 4.9, 0.1), BarnesParams(0.1, 0.1, 4.9)):
+                assert abs(zeta2_integral_rep(s, p) - ref) < 1e-12 * abs(ref)
+
     def test_residue_limit(self):
         # (s-2) * zeta2_integral_rep -> 1/(vw) along a real sequence
         p = BarnesParams(0.7, 1.3, 2.1)

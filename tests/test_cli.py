@@ -53,7 +53,7 @@ class TestEval:
         assert rec["config"] == {
             "direct_M": 64, "em_order": 10, "hurwitz_M": 64, "hurwitz_J": 12,
             "quad": {"cell_order": 12, "max_cells": 200000,
-                     "tail_tol": 1e-10},
+                     "tail_tol": 1e-13},
             "fd_step": 0.005,
         }
 

@@ -22,7 +22,6 @@ from barneszeta.errors import DomainError
 from barneszeta.hurwitz import _hurwitz_jet, hurwitz_zeta
 from barneszeta.numerics import (
     _B,
-    _frac1d_core,
     _head_length,
     _jet_mul,
     _jet_pow,
@@ -31,7 +30,7 @@ from barneszeta.numerics import (
 )
 
 from conftest import (EULER, I2_1114, brute_frac_1d, brute_frac_2d,
-                      sawtooth_1d_mpmath)
+                      sawtooth_1d_mpmath, sawtooth_2d_mpmath)
 
 
 class TestBernoulli:
@@ -233,18 +232,17 @@ class TestFracPart1D:
         assert abs(val.real - ref) < 1e-8
 
     def test_closed_form_within_bar(self, fixed_suite):
-        # the (alpha, v) and (alpha, w) pairs verify_theorem1 integrates
-        for p in fixed_suite:
-            for c in (p.v, p.w):
-                val, err = frac_part_integral_1d(p.alpha, c, 2.0,
-                                                 with_error=True)
-                assert abs(val - sawtooth_1d_mpmath(p.alpha, c, 2)) <= err
-
-    def test_error_bound_refines(self):
-        v1, e1 = _frac1d_core(1.0, 1.0, 2.5 + 0j, 1e-8)
-        v2, e2 = _frac1d_core(1.0, 1.0, 2.5 + 0j, 5e-9)
-        assert e2 <= e1
-        assert abs(v1 - v2) <= e1 + e2
+        # the (alpha, v) and (alpha, w) pairs verify_theorem1 integrates,
+        # then a boundary layer of width a/c = 1/49, s near the cancelling
+        # poles at 2 and near the pole at 1, oscillation, and large a/c
+        cases = [(p.alpha, c, 2.0) for p in fixed_suite for c in (p.v, p.w)]
+        cases += [(0.1, 4.9, 3.0), (0.1, 4.9, 2.0001), (0.1, 4.9, 2.0),
+                  (0.7, 2.1, 1.1 + 20j), (0.3, 2.5, 2.5),
+                  (0.3, 2.5, 2 + 1e-9), (0.3, 2.5, 1 + 1e-7),
+                  (1e4, 0.5, 3.5)]
+        for a, c, s in cases:
+            val, err = frac_part_integral_1d(a, c, s, with_error=True)
+            assert abs(val - sawtooth_1d_mpmath(a, c, s)) <= err, (a, c, s)
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):
@@ -271,10 +269,29 @@ class TestFracPart2D:
         assert abs(val.real - I2_1114) <= max(err, 1e-9)
 
     def test_domain_validation(self):
-        with pytest.raises(DomainError):
-            frac_part_integral_2d(1.0, 1.0, 1.0, 1.5)
+        # s = 3 is a removable singularity of the split, so Re s > 3
+        for s in (1.5, 2.5, 3.0, 3.0 + 5j):
+            with pytest.raises(DomainError):
+                frac_part_integral_2d(1.0, 1.0, 1.0, s)
         with pytest.raises(ValueError):
             frac_part_integral_2d(0.0, 1.0, 1.0, 4.0)
+
+    def test_swap_symmetric(self):
+        for alpha, v, w, s in [(0.1, 4.9, 0.1, 4.0), (0.7, 1.3, 2.1, 3.5 + 20j)]:
+            assert (frac_part_integral_2d(alpha, v, w, s, with_error=True)
+                    == frac_part_integral_2d(alpha, w, v, s, with_error=True))
+
+    def test_within_bar_up_to_im_150(self):
+        # commensurate (alpha; p t, q t), against the integral representation
+        # solved for the 2-D integral; the phase of the integrand turns by up
+        # to 150 log 2 over the first cell, so the cells are cut into pieces
+        for alpha, p, q, t in [(1.0, 1, 1, 1.0), (0.7, 1, 2, 1.0),
+                               (0.1, 1, 1, 5.0)]:
+            for s in (3.5, 5.0, 3.5 + 20j, 3.5 + 50j, 5.0 + 100j, 3.5 + 150j):
+                val, err = frac_part_integral_2d(alpha, p * t, q * t, s,
+                                                 with_error=True)
+                ref = sawtooth_2d_mpmath(alpha, p, q, t, s)
+                assert abs(val - ref) <= err, (alpha, p, q, t, s)
 
 
 class TestCentralDifference:

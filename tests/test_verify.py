@@ -113,6 +113,16 @@ class TestTheorem1:
         with pytest.raises(ValueError):
             verify_theorem1(BarnesParams(1, 1, 1), k_max=5)
 
+    def test_lopsided_integral_form(self):
+        # boundary layers of width alpha/max(v, w) = 1/49 and 1/50; the
+        # sawtooth integrals take them in closed form
+        for p in (BarnesParams(0.1, 4.9, 0.1), BarnesParams(0.1, 0.1, 4.9),
+                  BarnesParams(0.1, 5.0, 5.0)):
+            rep = verify_theorem1(p)
+            assert rep.passed, p
+            check = next(c for c in rep.checks if c.id == "gamma0_integral_rep")
+            assert check.abs_err <= 1e-10, p
+
 
 class TestTheorem2:
     def test_derivative_suite_passes(self):
