@@ -11,7 +11,7 @@ QUAD_CELL_ORDER  Gauss-Legendre points per cell piece of the 2-D sawtooth
 QUAD_MAX_CELLS   hard cap on the number of its cell pieces
 QUAD_TAIL_TOL    absolute tolerance allotted to its analytic tail
 FD_STEP          central-difference step of the verify alpha-derivatives
-                 (capped at alpha/4)
+                 (capped at alpha/40)
 
 Below a cap, ``numerics._head_length`` picks the least count whose first
 omitted Bernoulli term is below 2^-53 of the tail.  SNAPSHOT echoes the

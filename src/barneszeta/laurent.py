@@ -2,7 +2,9 @@
 s = 1, from the Euler-Maclaurin jet, by finite-M limit formulas, and by the
 closed integral representation of the constant term at s = 2.  The limit
 formulas sum the lattice as Hurwitz row heads minus strips of outer row
-sums, one pass over max(M)+1 rows for every order.
+sums, one pass over max(M)+1 rows for every order, add the closed-form
+jet of the integral outside the square and its first-order edge terms,
+and extrapolate in M on log^a(M)/M^b, b >= 2.
 
 Coefficients are raw Laurent coefficients:
 
@@ -11,6 +13,7 @@ Coefficients are raw Laurent coefficients:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,12 +22,7 @@ import numpy as np
 from .barnes import BarnesParams, _integral_rep_regular, _row_sum_jet, _zeta2_jet
 from .errors import ConsistencyError
 from .hurwitz import _hurwitz_jet
-from .numerics import (
-    _JET_REL_ERR,
-    _jet_mul,
-    _jet_pow,
-    richardson_extrapolate,
-)
+from .numerics import _JET_REL_ERR, _jet_mul, _jet_pow, _jet_recip, e_algorithm
 
 __all__ = [
     "LaurentExpansion",
@@ -143,43 +141,66 @@ def _lattice_log_sums(p: BarnesParams, k_max: int, m_list, power: int = 2):
                 for k in range(k_max + 1)] for i, m in enumerate(m_list)}
 
 
-def _counterterm(p: BarnesParams, k: int, m: int) -> float:
-    """Divergent part to subtract from the square-lattice log sum.
+def _counterterm_jet(p: BarnesParams, ms, n: int):
+    """Jet about s = 2, slots eps^-1..eps^n, of what the square [0, M]^2
+    leaves out of zeta_2, one row per M, to first Euler-Maclaurin order.
 
-    Exact square integral of log^k(A)/A^2 over [0,M]^2 (corner-evaluated
-    double antiderivative), shifted by the Laurent tail of the infinite
-    integral alpha^(2-s)/(vw(s-1)(s-2)) so that the limit is the raw
-    Laurent coefficient itself.
+    With A_v = alpha+vM, A_w = alpha+wM and A_2 = alpha+(v+w)M it is the
+    integral outside the square,
+        (A_v^(2-s) + A_w^(2-s) - A_2^(2-s)) / (vw(s-1)(s-2)),
+    plus the edge terms, half the near-edge integrals beyond M minus half
+    the far-edge integrals,
+        [A_v^(1-s)/v + A_w^(1-s)/w - (A_w^(1-s) - A_2^(1-s))/v
+         - (A_v^(1-s) - A_2^(1-s))/w] / (2(s-1)).
+    Added to the lattice jet, slot k leaves O(log^(k+1)(M)/M^2).  Every
+    factor is taken one order higher, since 1/(s-2) shifts the slots down.
     """
     alpha, v, w = p.alpha, p.v, p.w
-    la = math.log(alpha)
-    lv = math.log(alpha + v * m)
-    lw = math.log(alpha + w * m)
-    l2 = math.log(alpha + v * m + w * m)
-    kfac = math.factorial(k)
-    acc = 0.0
-    for j in range(k + 1):
-        pw = j + 1
-        acc -= (kfac / math.factorial(pw)) * (
-            la ** pw - lv ** pw - lw ** pw + l2 ** pw)
-    acc += kfac * sum(la ** i / math.factorial(i) for i in range(k + 2))
-    return acc / (v * w)
+    a = alpha + np.array(ms, dtype=float)[:, None] * np.array([v, w, v + w])
+    # x^(2-s) = x^(-eps) and x^(1-s) = x^(-1-eps): _jet_pow at c = 0 and 1
+    square = np.array([1.0, 1.0, -1.0]) / (v * w)
+    edges = np.array([1 / v - 1 / w, 1 / w - 1 / v, 1 / v + 1 / w]) / 2
+    outside = np.einsum("j,mjk->mk", square, _jet_pow(a, 0.0, n + 1).real)
+    edge = np.einsum("j,mjk->mk", edges, _jet_pow(a, 1.0, n + 1).real)
+    jet = _jet_mul(_jet_mul(outside, _jet_recip(1.0, n + 1).real) + edge,
+                   _jet_recip(2.0, n + 1).real)
+    return jet[:, :n + 2]
+
+
+def _extrapolate(ms, ys, log_power: int):
+    """Limit of samples ys at ms whose remainder is a series in
+    log^a(M)/M^b, b >= 2, a = log_power..0: the E-algorithm on the first
+    n-1 of these functions, n samples.  err is three times the largest of
+    the last correction and the moves of the limit when the last sample,
+    the last two or the first is left out; the last two catch a remainder
+    that is not yet in its asymptotic regime, as on lopsided weights.
+    """
+    powers = itertools.islice(((a, b) for b in itertools.count(2)
+                               for a in range(log_power, -1, -1)), len(ms) - 1)
+    basis = np.array([np.log(ms) ** a / ms ** b for a, b in powers])
+    value, corr = e_algorithm(ys, basis)
+    moves = [abs(value - e_algorithm(ys[sl], basis[:, sl])[0])
+             for sl in (slice(None, -1), slice(None, -2), slice(1, None))]
+    return value, 3.0 * max(corr, *moves)
 
 
 def gammak_at_2_limit(p: BarnesParams, k_max: int, m_list=None):
     """Finite-M limit-formula values of g_0..g_k_max at s = 2, 0 <= k_max <= 4.
 
-    g_k(2) = lim_M (-1)^k/k! [ sum_{m,n<=M} log^k(A)/A^2 - counterterm(M) ],
-    A = alpha+m*v+n*w.  Remainder decays like log^(k+1)(M)/M; three or more
-    samples are Richardson-accelerated under that model, fewer give the last
-    sample with the last difference as err.
-    Every order comes from one lattice pass (``_lattice_log_sums``).
+    g_k(2) = lim_M slot k of [ sum_{m,n<=M} A^(-s) + counterterm(M) ],
+    A = alpha+m*v+n*w, on jets about s = 2.  The lattice jet is a direct
+    Hurwitz sum (``_lattice_log_sums``, one pass for every order); the
+    counterterm (``_counterterm_jet``) is in closed form, so that the
+    remainder is O(log^(k+1)(M)/M^2).  Four or more samples are
+    extrapolated on log^a(M)/M^b, b >= 2 (``_extrapolate``); fewer give
+    the last sample with the last difference as err.  The default M is
+    16*2^(j/2) rounded, j = 0..12, up to 1024.
     Returns a tuple of (value, err), one per k.
     """
     if not 0 <= k_max <= 4:
         raise ValueError("k_max must be in 0..4")
     if m_list is None:
-        m_list = [2 ** e for e in range(6, 13)]
+        m_list = [round(16 * 2 ** (j / 2)) for j in range(13)]
     m_list = sorted(int(m) for m in m_list)
     if any(m < 16 for m in m_list):
         raise ValueError("every M must be >= 16")
@@ -187,12 +208,12 @@ def gammak_at_2_limit(p: BarnesParams, k_max: int, m_list=None):
               if p.alpha + (p.v + p.w) * m < _M_CAP] or m_list[:1]
 
     sums = _lattice_log_sums(p, k_max, m_list)
+    counter = _counterterm_jet(p, m_list, k_max)
+    ms = np.array(m_list, dtype=float)
     results = []
     for k in range(k_max + 1):
         pref = (-1) ** k / math.factorial(k)
-        samples = [(m, pref * (sums[m][k] - _counterterm(p, k, m)))
-                   for m in m_list]
-        ys = [y for _, y in samples]
+        ys = np.array([pref * sums[m][k] for m in m_list]) + counter[:, k + 1]
         if len(ys) >= 3:
             d1 = abs(ys[-1] - ys[-2])
             d2 = abs(ys[-2] - ys[-3])
@@ -200,9 +221,9 @@ def gammak_at_2_limit(p: BarnesParams, k_max: int, m_list=None):
                 raise ConsistencyError(
                     f"finite-M samples of g_{k} diverge non-monotonically; "
                     f"last corrections {d2:.3g} -> {d1:.3g}")
-        if len(samples) >= 3:
-            results.append(richardson_extrapolate(samples, model=k + 1))
+        if len(ys) >= 4:
+            results.append(_extrapolate(ms, ys, k + 1))
         else:
             err = abs(ys[-1] - ys[-2]) if len(ys) > 1 else float("inf")
-            results.append((ys[-1], err))
+            results.append((float(ys[-1]), float(err)))
     return tuple(results)

@@ -352,30 +352,22 @@ def e_algorithm(ys, remainder_funcs):
     """Brezinski E-algorithm: eliminate the given remainder basis in order.
 
     ``remainder_funcs`` are arrays of the basis functions sampled at the
-    same points as ``ys``.  Returns (limit, err) with err the size of the
-    final correction.
+    same points as ``ys``; the first min(n-1, len) of them are eliminated,
+    at least one.  Returns (limit, err) with err the size of the last
+    correction, the change of the last entry in the final elimination.
     """
-    n = len(ys)
-    e = np.asarray(ys, dtype=float)
-    g = [np.asarray(gj, dtype=float) for gj in remainder_funcs]
-    prev_last = e[-1]
-    for k in range(min(n - 1, len(g))):
-        gk = g[k]
-        denom = gk[1:] - gk[:-1]
-        e = (gk[1:] * e[:-1] - gk[:-1] * e[1:]) / denom
-        new_g = []
-        for j in range(len(g)):
-            if j <= k:
-                new_g.append(None)
-            else:
-                gj = g[j]
-                new_g.append((gk[1:] * gj[:-1] - gk[:-1] * gj[1:]) / denom)
-        g = new_g
-        if len(e) > 1:
-            prev_last = e[-1]
-    limit = float(e[-1])
-    err = abs(limit - float(prev_last))
-    return limit, err
+    steps = min(len(ys) - 1, len(remainder_funcs))
+    if steps < 1:
+        raise ValueError("need at least two samples and one remainder function")
+    # row 0 is the sequence, row j the j-th function; each step eliminates
+    # row 1 from the others and drops it
+    e = np.vstack([ys, *remainder_funcs[:steps]]).astype(float)
+    for _ in range(steps):
+        gk, prev_last = e[1], e[0, -1]
+        rest = np.delete(e, 1, axis=0)
+        e = (gk[1:] * rest[:, :-1] - gk[:-1] * rest[:, 1:]) / (gk[1:] - gk[:-1])
+    limit = float(e[0, -1])
+    return limit, abs(limit - float(prev_last))
 
 
 def contour_coefficients(f, spec: ContourSpec, pole_order: int = 0):

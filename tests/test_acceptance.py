@@ -114,9 +114,9 @@ class TestAcceptance:
             exp = laurent_at_2(p, 2)
             for k, (val, _) in enumerate(gammak_at_2_limit(p, 2)):
                 worst = max(worst, abs(val - exp.gammas[k]))
-        verdict(7, worst < 1e-4,
+        verdict(7, worst < 1e-8,
                 f"finite-M limit formulas k=0..2, 5 sets: "
-                f"max err {worst:.2e} (tol 1e-4)")
+                f"max err {worst:.2e} (tol 1e-8)")
 
     def test_08_derivative_relation(self, fixed_suite):
         worst = 0.0

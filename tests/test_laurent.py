@@ -168,14 +168,35 @@ class TestGammakAt2Limit:
         for p in fixed_suite:
             exp = laurent_at_2(p, 2)
             for k, (val, err) in enumerate(gammak_at_2_limit(p, 2)):
-                assert abs(val - exp.gammas[k]) < 1e-4
+                assert abs(val - exp.gammas[k]) < 1e-8
+
+    @pytest.mark.parametrize("triple", [
+        (1.0, 1.0, 1.0), (0.5, 1.0, 1.0), (1.0, 1.0, 2.0), (2.0, 3.0, 1.0),
+        (0.7, 1.3, 2.1), (2.5, 0.5, 2.5), (0.1, 4.9, 0.1), (0.1, 0.1, 4.9),
+        (5.0, 5.0, 5.0)])
+    def test_err_bounds_error(self, triple):
+        # the fixed five, the certify anchor, both lopsided triples and
+        # large alpha: the reported err plus the jet's bar covers the gap
+        p = BarnesParams(*triple)
+        exp = laurent_at_2(p, 4)
+        for k, (val, err) in enumerate(gammak_at_2_limit(p, 4)):
+            gap = abs(val - exp.gammas[k])
+            assert gap <= err + exp.errs[k], (k, gap, err)
 
     def test_unaccelerated_path(self):
+        # two samples: no extrapolation.  With the first-order edge terms
+        # in the counterterm, the raw sample at M = 1024 is already within
+        # 3e-7 of Euler's constant
         p = BarnesParams(1, 1, 1)
-        # two samples: no Richardson step
         (val, err), = gammak_at_2_limit(p, 0, m_list=[512, 1024])
-        assert abs(val - EULER) < 5e-2
-        assert err > 0
+        assert abs(val - EULER) < 3e-7
+        assert abs(val - EULER) <= err
+
+    def test_counterterm_jet_pole_is_residue(self):
+        p = BarnesParams(0.7, 1.3, 2.1)
+        jet = laurent._counterterm_jet(p, [16, 1024], 3)
+        assert jet.shape == (2, 5)
+        assert np.allclose(jet[:, 0], residue_at_2(p), rtol=1e-15, atol=0)
 
     def test_validation(self):
         p = BarnesParams(1, 1, 1)
@@ -185,8 +206,7 @@ class TestGammakAt2Limit:
             gammak_at_2_limit(p, 0, m_list=[8, 32, 64])
 
     def test_orders_beyond_four_rejected(self):
-        # the Richardson model is only checked up to k = 4; beyond it the
-        # samples are far from converged at the default M
+        # the extrapolation and its err are only checked up to k = 4
         with pytest.raises(ValueError):
             gammak_at_2_limit(BarnesParams(1, 1, 1), 5)
 

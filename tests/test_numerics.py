@@ -215,6 +215,22 @@ class TestRichardson:
         val, _ = e_algorithm(ys, [1.0 / ms, 1.0 / ms ** 2])
         assert abs(val - 5.0) < 1e-10
 
+    def test_e_algorithm_short_basis_reports_last_correction(self):
+        # one function for six samples: the limit is taken from the last
+        # two, and err is how far that step moved the last sample
+        ms = 16.0 * 2.0 ** np.arange(6)
+        ys = 1.0 + 1.0 / ms + 1.0 / ms ** 2
+        val, err = e_algorithm(ys, [1.0 / ms])
+        assert val == pytest.approx(1.0 - 1.0 / (256 * 512), abs=1e-15)
+        assert err == pytest.approx(abs(ys[-1] - val), rel=1e-12)
+        assert abs(val - 1.0) <= err
+
+    def test_e_algorithm_needs_one_step(self):
+        with pytest.raises(ValueError):
+            e_algorithm([1.0, 2.0], [])
+        with pytest.raises(ValueError):
+            e_algorithm([1.0], [np.array([1.0])])
+
 
 class TestFracPart1D:
     def test_one_minus_euler(self):

@@ -156,7 +156,7 @@ class TestTheorem2:
         assert e_h2 * 3.0 < e_h
 
     def test_small_alpha_reports_every_order(self):
-        # alpha below fd_step: the alpha step shrinks to alpha/4, so each
+        # alpha below fd_step: the alpha step shrinks to alpha/40, so each
         # order gets a real check instead of one failed suite
         rep = verify_theorem2_derivative(BarnesParams(0.004, 1, 1), k_max=0)
         assert {c.id for c in rep.checks} == {"deriv_k-1", "deriv_k+0"}
@@ -164,6 +164,16 @@ class TestTheorem2:
             assert math.isfinite(c.lhs) and math.isfinite(c.rhs)
             assert c.error is None
         assert next(c for c in rep.checks if c.id == "deriv_k-1").passed
+
+    @pytest.mark.parametrize("triple", [(0.1, 4.9, 0.1), (0.1, 0.1, 4.9),
+                                        (0.1, 5.0, 5.0), (0.1, 1.0, 1.0),
+                                        (0.05, 2.0, 3.0)])
+    def test_small_alpha_passes(self, triple):
+        # a step of fd_step = 5e-3 at alpha = 0.1 left an h^4 error of
+        # 1.6e-6 relative at k = 3; the step alpha/40 brings it near 1e-7
+        p = BarnesParams(*triple)
+        assert verify_theorem2_derivative(p, k_max=3).passed
+        assert verify_theorem2_altsum(p, k_max=3).passed
 
     def test_altsum_unit_parameters(self):
         rep = verify_theorem2_altsum(BarnesParams(1, 1, 1), k_max=3)
