@@ -10,8 +10,8 @@ QUAD_CELL_ORDER  Gauss-Legendre points per cell piece of the 2-D sawtooth
                  integral (the 1-D one is in closed form)
 QUAD_MAX_CELLS   hard cap on the number of its cell pieces
 QUAD_TAIL_TOL    absolute tolerance allotted to its analytic tail
-FD_STEP          central-difference step of the verify alpha-derivatives
-                 (capped at alpha/40)
+FD_STEP          first central-difference step of the verify
+                 alpha-derivatives, relative to alpha (then halved three times)
 
 Below a cap, ``numerics._head_length`` picks the least count whose first
 omitted Bernoulli term is below 2^-53 of the tail.  SNAPSHOT echoes the
@@ -25,7 +25,7 @@ HURWITZ_J = 12
 QUAD_CELL_ORDER = 12
 QUAD_MAX_CELLS = 200_000
 QUAD_TAIL_TOL = 1e-13
-FD_STEP = 5e-3
+FD_STEP = 0.1
 
 SNAPSHOT = {
     "direct_M": DIRECT_M,

@@ -415,16 +415,24 @@ def contour_coefficients_with_error(f, spec: ContourSpec, pole_order: int = 0):
     return list(full), list(errs)
 
 
-def central_difference(f, x, h):
-    """First derivative by central differences, O(h^4) accurate.
+def central_difference(f, x, h, levels: int = 2, batched: bool = False):
+    """First derivative by central differences, O(h^(2 levels)) accurate.
 
-    The central difference at h and at h/2, combined by one Richardson
-    step; returns (value, err) with err taken from the h vs h/2
-    discrepancy.
+    The central differences at h, h/2, ..., h/2^(levels-1), combined by
+    levels - 1 Richardson steps; returns (value, err) with err the size of
+    the last step's correction.  ``batched``: f takes the array of all
+    2 levels abscissae (x - h, x + h, x - h/2, x + h/2, ...) in one call
+    and returns their values stacked on axis 0.
     """
-    def stencil(step):
-        return (-0.5 * f(x - step) + 0.5 * f(x + step)) / step
-
-    d1 = stencil(h)
-    d2 = stencil(h / 2.0)
-    return (4.0 * d2 - d1) / 3.0, abs(d2 - d1) / 3.0
+    if levels < 2:
+        raise ValueError("levels must be at least 2")
+    steps = [h / 2.0 ** j for j in range(levels)]
+    xs = [t for step in steps for t in (x - step, x + step)]
+    vals = f(np.array(xs)) if batched else [f(t) for t in xs]
+    table = [(-0.5 * vals[2 * j] + 0.5 * vals[2 * j + 1]) / step
+             for j, step in enumerate(steps)]
+    for i in range(1, levels):
+        r = 4.0 ** i
+        err = abs(table[1] - table[0]) / (r - 1.0)
+        table = [(r * b - a) / (r - 1.0) for a, b in zip(table, table[1:])]
+    return table[0], err

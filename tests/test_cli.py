@@ -54,7 +54,7 @@ class TestEval:
             "direct_M": 64, "em_order": 10, "hurwitz_M": 64, "hurwitz_J": 12,
             "quad": {"cell_order": 12, "max_cells": 200000,
                      "tail_tol": 1e-13},
-            "fd_step": 0.005,
+            "fd_step": 0.1,
         }
 
     def test_precision_flags_are_usage_errors(self):

@@ -320,3 +320,29 @@ class TestCentralDifference:
         e_h, _ = central_difference(math.sin, 1.0, 2e-2)
         e_h2, _ = central_difference(math.sin, 1.0, 1e-2)
         assert abs(e_h2 - exact) * 3.5 < abs(e_h - exact)
+
+    def test_more_levels_raise_the_order(self):
+        # each Richardson step removes the next even power of h
+        errs = [abs(central_difference(math.sin, 1.0, 0.2, levels=n)[0]
+                    - math.cos(1.0)) for n in (2, 3, 4)]
+        assert errs[0] > 1e-7 and errs[1] < 1e-9 and errs[2] < 1e-12
+
+    def test_err_is_last_correction(self):
+        val, err = central_difference(math.exp, 0.0, 0.2, levels=3)
+        assert abs(val - 1.0) <= err
+
+    def test_batched_takes_every_abscissa_at_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.shape(x))
+            return np.stack([np.sin(x), np.cos(x)], axis=-1)
+
+        val, _ = central_difference(f, 1.0, 0.1, levels=3, batched=True)
+        assert calls == [(6,)]
+        assert np.allclose(val, [math.cos(1.0), -math.sin(1.0)],
+                           rtol=0, atol=1e-10)
+
+    def test_levels_validation(self):
+        with pytest.raises(ValueError):
+            central_difference(math.sin, 1.0, 0.1, levels=1)

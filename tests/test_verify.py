@@ -156,8 +156,8 @@ class TestTheorem2:
         assert e_h2 * 3.0 < e_h
 
     def test_small_alpha_reports_every_order(self):
-        # alpha below fd_step: the alpha step shrinks to alpha/40, so each
-        # order gets a real check instead of one failed suite
+        # the alpha steps are fractions of alpha, so each order gets a real
+        # check instead of one failed suite
         rep = verify_theorem2_derivative(BarnesParams(0.004, 1, 1), k_max=0)
         assert {c.id for c in rep.checks} == {"deriv_k-1", "deriv_k+0"}
         for c in rep.checks:
@@ -169,11 +169,25 @@ class TestTheorem2:
                                         (0.1, 5.0, 5.0), (0.1, 1.0, 1.0),
                                         (0.05, 2.0, 3.0)])
     def test_small_alpha_passes(self, triple):
-        # a step of fd_step = 5e-3 at alpha = 0.1 left an h^4 error of
-        # 1.6e-6 relative at k = 3; the step alpha/40 brings it near 1e-7
+        # a step of 5e-3 at alpha = 0.1 left an h^4 error of 1.6e-6
+        # relative at k = 3; steps relative to alpha keep it below 1e-7
         p = BarnesParams(*triple)
         assert verify_theorem2_derivative(p, k_max=3).passed
         assert verify_theorem2_altsum(p, k_max=3).passed
+
+    @pytest.mark.parametrize("triple", [(0.3, 0.5, 2.5),
+                                        (0.33535, 2.03273, 1.42613),
+                                        (0.34487, 2.46809, 2.47384),
+                                        (0.55862, 1.11065, 2.05339),
+                                        (2.5, 0.5, 2.5)])
+    def test_error_steady_over_alpha(self, triple):
+        # a step fixed in alpha left 1.3e-7 at alpha = 0.34 and 3e-11 at
+        # alpha = 2.5; steps relative to alpha keep every order near the
+        # jets' own rounding
+        p = BarnesParams(*triple)
+        checks = (verify_theorem2_derivative(p, k_max=3).checks
+                  + verify_theorem2_altsum(p, k_max=3).checks)
+        assert max(min(c.abs_err, c.rel_err) for c in checks) < 1e-9
 
     def test_altsum_unit_parameters(self):
         rep = verify_theorem2_altsum(BarnesParams(1, 1, 1), k_max=3)
