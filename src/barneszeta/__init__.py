@@ -1,10 +1,10 @@
 """Barnes double zeta-function toolkit.
 
-Evaluation of zeta_2(s, alpha; v, w) across the complex plane, Laurent
-coefficient extraction at the poles s = 1 and s = 2 from one
-Euler-Maclaurin jet, checked at s = 2 by the finite-M limit formulas and
-the closed integral form, double gamma / poly-gamma special values, and
-numerical certification suites for the underlying identities.
+Evaluation of zeta_2(s, alpha; v, w) across the complex plane; Laurent
+coefficients at the poles s = 1 and s = 2 from one Euler-Maclaurin jet,
+checked at both poles by the finite-M limit formulas and at s = 2 by the
+closed integral form; double gamma / poly-gamma special values; numerical
+certification suites for the underlying identities.
 """
 
 from .barnes import (
@@ -32,6 +32,7 @@ from .hurwitz import (
 from .laurent import (
     LaurentExpansion,
     gamma0_at_2_integral,
+    gammak_at_1_limit,
     gammak_at_2_limit,
     laurent_at_1,
     laurent_at_2,
@@ -47,15 +48,14 @@ from .numerics import (
     richardson_extrapolate,
 )
 from .verify import (
-    CEstimate,
     Check,
     VerificationReport,
     default_parameter_suite,
-    estimate_C,
     run_suites,
     verify_bounds,
     verify_reduction,
     verify_theorem1,
+    verify_theorem1_s1,
     verify_theorem2_altsum,
     verify_theorem2_derivative,
 )

@@ -22,8 +22,8 @@ from .barnes import BarnesParams, log_gamma2, polygamma2, zeta2
 from .config import SNAPSHOT
 from .errors import AccuracyError, PoleError
 from .hurwitz import stieltjes_constants
-from .laurent import gammak_at_2_limit, laurent_at_1, laurent_at_2, \
-    residue_at_1, residue_at_2
+from .laurent import gammak_at_1_limit, gammak_at_2_limit, laurent_at_1, \
+    laurent_at_2, residue_at_1, residue_at_2
 from .verify import run_suites
 
 SCHEMA_VERSION = "1"
@@ -126,10 +126,8 @@ def _cmd_laurent(args) -> int:
     p = _params_from(args)
     exact = residue_at_2(p) if args.pole == 2 else residue_at_1(p)
     if args.method == "limit":
-        if args.pole != 2:
-            sys.stderr.write("limit-formula route exists only for pole 2\n")
-            return EXIT_USAGE
-        values, errs = zip(*gammak_at_2_limit(p, args.kmax))
+        limit = gammak_at_2_limit if args.pole == 2 else gammak_at_1_limit
+        values, errs = zip(*limit(p, args.kmax))
         rec = _record(args, started,
                       pole=args.pole, method="limit_formula",
                       exact_residue=_num(exact),

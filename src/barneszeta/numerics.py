@@ -415,20 +415,19 @@ def contour_coefficients_with_error(f, spec: ContourSpec, pole_order: int = 0):
     return list(full), list(errs)
 
 
-def central_difference(f, x, h, levels: int = 2, batched: bool = False):
+def central_difference(f, x, h, levels: int = 2):
     """First derivative by central differences, O(h^(2 levels)) accurate.
 
     The central differences at h, h/2, ..., h/2^(levels-1), combined by
     levels - 1 Richardson steps; returns (value, err) with err the size of
-    the last step's correction.  ``batched``: f takes the array of all
-    2 levels abscissae (x - h, x + h, x - h/2, x + h/2, ...) in one call
-    and returns their values stacked on axis 0.
+    the last step's correction.  f takes the array of all 2 levels
+    abscissae (x - h, x + h, x - h/2, x + h/2, ...) in one call and returns
+    their values stacked on axis 0.
     """
     if levels < 2:
         raise ValueError("levels must be at least 2")
     steps = [h / 2.0 ** j for j in range(levels)]
-    xs = [t for step in steps for t in (x - step, x + step)]
-    vals = f(np.array(xs)) if batched else [f(t) for t in xs]
+    vals = f(np.array([t for step in steps for t in (x - step, x + step)]))
     table = [(-0.5 * vals[2 * j] + 0.5 * vals[2 * j + 1]) / step
              for j, step in enumerate(steps)]
     for i in range(1, levels):

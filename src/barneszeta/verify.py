@@ -1,9 +1,9 @@
 """Identity-certification suites.
 
 Each suite numerically checks one family of identities (residues, the
-constant-term integral representation, the finite-M limit formulas, the
-derivative and alternating-sum relations between the two poles, the
-v = w reduction, and the classical coefficient bounds) and emits a
+constant-term integral representation, the finite-M limit formulas at
+both poles, the derivative and alternating-sum relations between the two
+poles, the v = w reduction, and the classical coefficient bounds) and emits a
 structured, serializable report.  Math mismatches are recorded as failed
 checks, never raised.
 """
@@ -21,27 +21,26 @@ from .barnes import BarnesParams, _row_sum_jet, zeta2
 from .config import FD_STEP, SNAPSHOT
 from .hurwitz import hurwitz_zeta, stieltjes_constants
 from .laurent import (
-    _lattice_log_sums,
     gamma0_at_2_integral,
+    gammak_at_1_limit,
     gammak_at_2_limit,
     laurent_at_1,
     laurent_at_2,
     residue_at_1,
     residue_at_2,
 )
-from .numerics import _jet_mul, _jet_pow, central_difference, e_algorithm
+from .numerics import _jet_mul, _jet_pow, central_difference
 
 __all__ = [
     "Check",
     "VerificationReport",
-    "CEstimate",
     "default_parameter_suite",
     "verify_theorem1",
+    "verify_theorem1_s1",
     "verify_theorem2_derivative",
     "verify_theorem2_altsum",
     "verify_reduction",
     "verify_bounds",
-    "estimate_C",
     "run_suites",
 ]
 
@@ -182,17 +181,38 @@ def verify_theorem1(p: BarnesParams, k_max: int = 2,
                                       gamma0_at_2_integral(p), tol_int))
         except Exception as exc:  # noqa: BLE001 - recorded, not raised
             checks.append(_failed_check("gamma0_integral_rep", exc, tol_int))
-        cids = [f"gamma{k}_limit_formula" for k in range(k_max + 1)]
-        try:
-            limits = gammak_at_2_limit(p, k_max)
-        except Exception as exc:  # noqa: BLE001
-            checks += [_failed_check(cid, exc, tol_limit) for cid in cids]
-        else:
-            checks += [_make_check(cid, g, val, tol_limit) for cid, g, (val, _)
-                       in zip(cids, exp.gammas, limits)]
+        checks += _limit_checks(gammak_at_2_limit, p, exp.gammas, "", tol_limit)
     except Exception as exc:  # noqa: BLE001
         checks.append(_failed_check("residue_s2", exc, TOL_EXACT))
     return VerificationReport("theorem1", checks, _params_dict(p))
+
+
+def verify_theorem1_s1(p: BarnesParams, k_max: int = 1,
+                       tol: float | None = None) -> VerificationReport:
+    """Residue and k-th limit formulas at s = 1."""
+    if not 0 <= k_max <= 4:
+        raise ValueError("k_max must be in 0..4")
+    tol = TOL_LIMIT if tol is None else tol
+    checks = []
+    try:
+        exp = laurent_at_1(p, k_max)
+        checks.append(_make_check("residue_s1", exp.gamma_minus1,
+                                  residue_at_1(p), TOL_EXACT))
+        checks += _limit_checks(gammak_at_1_limit, p, exp.gammas, "_s1", tol)
+    except Exception as exc:  # noqa: BLE001
+        checks.append(_failed_check("residue_s1", exc, TOL_EXACT))
+    return VerificationReport("theorem1_s1", checks, _params_dict(p))
+
+
+def _limit_checks(limit, p, gammas, suffix, tol):
+    """The jet's g_0..g_k against limit(p, k); a limit that raises fails all."""
+    cids = [f"gamma{k}_limit_formula{suffix}" for k in range(len(gammas))]
+    try:
+        limits = limit(p, len(gammas) - 1)
+    except Exception as exc:  # noqa: BLE001 - recorded, not raised
+        return [_failed_check(cid, exc, tol) for cid in cids]
+    return [_make_check(cid, g, val, tol)
+            for cid, g, (val, _) in zip(cids, gammas, limits)]
 
 
 def _alpha_slope(p: BarnesParams, center: float, k_max: int):
@@ -212,8 +232,7 @@ def _alpha_slope(p: BarnesParams, center: float, k_max: int):
         rows = _row_sum_jet(center, alphas, p.v, p.w, n)
         return _jet_mul(_jet_pow(p.w, center, n), rows)[..., :k_max + 2].real
 
-    return central_difference(jets, p.alpha, FD_STEP * p.alpha, levels=4,
-                              batched=True)[0]
+    return central_difference(jets, p.alpha, FD_STEP * p.alpha, levels=4)[0]
 
 
 def verify_theorem2_derivative(p: BarnesParams, k_max: int = 3,
@@ -242,7 +261,7 @@ def verify_theorem2_altsum(p: BarnesParams, k_max: int = 3,
     """sum_{l=-1}^k (-1)^(k-l+1) d/dalpha g_l(1) = g_k(2), k = 0..k_max."""
     if not 0 <= k_max <= 3:
         raise ValueError("k_max must be in 0..3")
-    tol = 1e-4 if tol is None else tol
+    tol = TOL_CROSS if tol is None else tol
     checks = []
     try:
         d1 = _alpha_slope(p, 1.0, k_max)  # index l+1
@@ -306,63 +325,6 @@ def verify_bounds(k_max: int = 10,
     return VerificationReport("bounds", checks, {"a_list": list(a_list)})
 
 
-@dataclass(frozen=True)
-class CEstimate:
-    """Numerical estimate of the alpha-independent constant relating the
-    divergent parts of g_{-1}(1) and g_0(1).  Informational only: the
-    finite-M expression grows logarithmically, so the extrapolation
-    removes a fitted log term and the value should not be asserted."""
-
-    value: float
-    spread: float
-    extrap_err: float
-    warning: bool
-    per_alpha: tuple
-
-
-def estimate_C(p_grid, m_list=(64, 128, 256, 512, 1024)) -> CEstimate:
-    """Estimate C(v, w) from >= 2 alpha samples sharing (v, w).
-
-    For each alpha: C_M = [g_{-1}(1) - g_0(1)] + sum_{m,n<=M} 1/A
-        + (A_v log A_v + A_w log A_w - A_2 log A_2)/(v w),
-    extrapolated under the model C + a*log M + b/M + c*log M/M.  The
-    log term is genuinely present (lattice-edge effect of size
-    (1/v + 1/w)/2 per log M), so the constant reported is tied to this
-    particular basis; it is alpha-independent and v<->w symmetric.
-    """
-    ps = list(p_grid)
-    if len(ps) < 2:
-        raise ValueError("need at least two alpha samples")
-    if any((q.v, q.w) != (ps[0].v, ps[0].w) for q in ps):
-        raise ValueError("all samples must share (v, w)")
-    estimates, errs = [], []
-    for q in ps:
-        alpha, v, w = q.alpha, q.v, q.w
-        exp = laurent_at_1(q, 0)
-        diff = exp.gamma_minus1 - exp.gammas[0]
-        sums = _lattice_log_sums(q, 0, m_list, power=1)
-        ys, ms = [], []
-        for m in sorted(m_list):
-            a_v, a_w = alpha + v * m, alpha + w * m
-            a_2 = alpha + (v + w) * m
-            brace = (-sums[m][0]
-                     - (a_v * math.log(a_v) + a_w * math.log(a_w)
-                        - a_2 * math.log(a_2)) / (v * w))
-            ys.append(diff - brace)
-            ms.append(float(m))
-        ms = np.array(ms)
-        funcs = [np.log(ms), 1.0 / ms, np.log(ms) / ms, 1.0 / ms ** 2]
-        val, err = e_algorithm(ys, funcs)
-        estimates.append(val)
-        errs.append(err)
-    value = float(np.mean(estimates))
-    spread = float(np.max(estimates) - np.min(estimates))
-    extrap_err = float(np.max(errs))
-    return CEstimate(value=value, spread=spread, extrap_err=extrap_err,
-                     warning=spread > 10.0 * max(extrap_err, 1e-15),
-                     per_alpha=tuple(estimates))
-
-
 def _reduction_grid():
     grid = []
     for sig in np.linspace(-0.5, 4.0, 5):
@@ -387,6 +349,7 @@ def run_suites(names=("all",), tol: float | None = None,
     if "theorem1" in wanted:
         for p in suite[:5]:
             reports.append(verify_theorem1(p, k_max=2, tol=tol))
+            reports.append(verify_theorem1_s1(p, tol=tol))
         for p in suite[5:]:
             # residues only on the random triples: cheap exactness probe
             exp2 = laurent_at_2(p, 0)

@@ -130,7 +130,8 @@ class TestAcceptance:
 
         closed_worst = 0.0
         for alpha in (0.5, 1.0, 1.7):
-            d, _ = central_difference(value_at_0, alpha, 1e-2)
+            d, _ = central_difference(
+                lambda xs: np.array([value_at_0(x) for x in xs]), alpha, 1e-2)
             closed_worst = max(closed_worst, abs(-d - (1.0 - alpha)))
         ok = worst < 1e-6 and closed_worst < 1e-8
         verdict(8, ok, f"s=1 coefficients vs alpha-derivatives k=-1..3, "

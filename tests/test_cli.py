@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from barneszeta import BarnesParams, zeta2
+from barneszeta import BarnesParams, laurent_at_1, zeta2
 from barneszeta.cli import format_complex, main, parse_complex
 
 from conftest import EULER, RAW_STIELTJES_1, ZETA2, ZETA_PRIME_M1
@@ -167,12 +167,16 @@ class TestLaurent:
         assert rec is None
         assert "k_max" in err
 
-    def test_limit_requires_pole2(self, capsys):
-        code, rec, err = run_cli(capsys, ["laurent", "--pole", "1",
-                                          "--method", "limit", "--alpha", "1",
-                                          "--v", "1", "--w", "1"])
-        assert code == 64
-        assert rec is None
+    def test_limit_method_pole1(self, capsys):
+        code, rec, _ = run_cli(capsys, ["laurent", "--pole", "1",
+                                        "--method", "limit", "--alpha", "0.7",
+                                        "--v", "1.3", "--w", "2.1",
+                                        "--kmax", "1"])
+        assert code == 0
+        assert rec["method"] == "limit_formula"
+        jet = laurent_at_1(BarnesParams(0.7, 1.3, 2.1), 1)
+        assert (abs(rec["gammas"][0] - jet.gammas[0])
+                <= rec["est_errors"][0] + 1e-9)
 
 
 class TestSpecial:

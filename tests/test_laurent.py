@@ -11,6 +11,7 @@ from barneszeta import (
     BarnesParams,
     LaurentExpansion,
     gamma0_at_2_integral,
+    gammak_at_1_limit,
     gammak_at_2_limit,
     hurwitz_zeta,
     laurent_at_1,
@@ -23,7 +24,7 @@ from barneszeta import (
 from barneszeta import barnes, laurent
 from barneszeta.barnes import _row_sum_jet
 from barneszeta.hurwitz import _hurwitz_jet
-from barneszeta.laurent import _lattice_log_sums
+from barneszeta.laurent import _lattice_jet
 
 from conftest import (EULER, LAURENT_LOPSIDED_S1, LAURENT_V_EQ_W,
                       RAW_STIELTJES_1, ZETA_PRIME_0, brute_lattice_log_sums)
@@ -176,12 +177,15 @@ class TestGammakAt2Limit:
         (5.0, 5.0, 5.0)])
     def test_err_bounds_error(self, triple):
         # the fixed five, the certify anchor, both lopsided triples and
-        # large alpha: the reported err plus the jet's bar covers the gap
+        # large alpha: the reported err plus the jet's bar covers the gap,
+        # about either pole
         p = BarnesParams(*triple)
-        exp = laurent_at_2(p, 4)
-        for k, (val, err) in enumerate(gammak_at_2_limit(p, 4)):
-            gap = abs(val - exp.gammas[k])
-            assert gap <= err + exp.errs[k], (k, gap, err)
+        for center, jet, limit in ((2, laurent_at_2, gammak_at_2_limit),
+                                   (1, laurent_at_1, gammak_at_1_limit)):
+            exp = jet(p, 4)
+            for k, (val, err) in enumerate(limit(p, 4)):
+                gap = abs(val - exp.gammas[k])
+                assert gap <= err + exp.errs[k], (center, k, gap, err)
 
     def test_unaccelerated_path(self):
         # two samples: no extrapolation.  With the first-order edge terms
@@ -193,10 +197,15 @@ class TestGammakAt2Limit:
         assert abs(val - EULER) <= err
 
     def test_counterterm_jet_pole_is_residue(self):
+        # the lattice jet is entire, so the pole is the counterterm's alone
         p = BarnesParams(0.7, 1.3, 2.1)
-        jet = laurent._counterterm_jet(p, [16, 1024], 3)
+        jet = laurent._counterterm_jet(p, 2, [16, 1024], 3)
         assert jet.shape == (2, 5)
         assert np.allclose(jet[:, 0], residue_at_2(p), rtol=1e-15, atol=0)
+        jet = laurent._counterterm_jet(p, 1, [16, 1024], 3)
+        assert jet.shape == (2, 5)
+        assert np.all(np.abs(jet[:, 0] - residue_at_1(p))
+                      <= 1e-12 * (1 / p.v + 1 / p.w))
 
     def test_validation(self):
         p = BarnesParams(1, 1, 1)
@@ -204,6 +213,9 @@ class TestGammakAt2Limit:
             gammak_at_2_limit(p, -1)
         with pytest.raises(ValueError):
             gammak_at_2_limit(p, 0, m_list=[8, 32, 64])
+        # rejected before the heads ask for 2^43 rows
+        with pytest.raises(ValueError):
+            gammak_at_2_limit(p, 1, m_list=[2 ** e for e in range(40, 44)])
 
     def test_orders_beyond_four_rejected(self):
         # the extrapolation and its err are only checked up to k = 4
@@ -217,23 +229,26 @@ class TestLatticeLogSums:
     def test_row_differences_match_brute_grid(self, triple):
         p = BarnesParams(*triple)
         ms = (16, 64, 1024, 4096)
-        sums2 = _lattice_log_sums(p, 2, ms)
-        sums1 = _lattice_log_sums(p, 0, ms, power=1)
-        for m in ms:
+        # slot k of the jet about s = c is S_k (-1)^k/k!
+        jet2 = _lattice_jet(p, 2, 2, ms)
+        jet1 = _lattice_jet(p, 1, 0, ms)
+        for i, m in enumerate(ms):
             for k in range(3):
                 ref = brute_lattice_log_sums(p, k, m, 2)
-                assert abs(sums2[m][k] - ref) <= 1e-13 * abs(ref), (m, k)
+                s_k = (-1) ** k * math.factorial(k) * jet2[i, k + 1]
+                assert abs(s_k - ref) <= 1e-13 * abs(ref), (m, k)
             ref = brute_lattice_log_sums(p, 0, m, 1)
-            assert abs(sums1[m][0] - ref) <= 1e-13 * abs(ref), m
+            assert abs(jet1[i, 1] - ref) <= 1e-13 * abs(ref), m
 
     @pytest.mark.parametrize("triple", [(0.1, 4.9, 0.1), (2.5, 0.5, 2.5),
                                         (0.7, 2.1, 1.3)])
     def test_swap_symmetric(self, triple):
         # the outer step is v/w <= 1 whichever way (v, w) is given
         p = BarnesParams(*triple)
-        for power in (1, 2):
-            assert (_lattice_log_sums(p, 2, (16, 4096), power)
-                    == _lattice_log_sums(p.swapped(), 2, (16, 4096), power))
+        for center in (1, 2):
+            assert np.array_equal(_lattice_jet(p, center, 2, (16, 4096)),
+                                  _lattice_jet(p.swapped(), center, 2,
+                                               (16, 4096)))
 
     @pytest.mark.parametrize("triple", [(0.7, 1.3, 2.1), (2.5, 0.5, 2.5),
                                         (5.0, 5.0, 5.0), (0.1, 0.1, 0.1),

@@ -11,11 +11,11 @@ from barneszeta import (
     Check,
     VerificationReport,
     default_parameter_suite,
-    estimate_C,
     run_suites,
     verify_bounds,
     verify_reduction,
     verify_theorem1,
+    verify_theorem1_s1,
     verify_theorem2_altsum,
     verify_theorem2_derivative,
     zeta2_s_derivatives_at_0,
@@ -124,6 +124,20 @@ class TestTheorem1:
             assert check.abs_err <= 1e-10, p
 
 
+class TestTheorem1S1:
+    def test_unit_parameters(self):
+        rep = verify_theorem1_s1(BarnesParams(1, 1, 1), k_max=1)
+        assert rep.passed
+        assert {c.id for c in rep.checks} == {
+            "residue_s1", "gamma0_limit_formula_s1", "gamma1_limit_formula_s1"}
+        g0 = next(c for c in rep.checks if c.id == "gamma0_limit_formula_s1")
+        assert g0.abs_err < 1e-9
+
+    def test_kmax_validation(self):
+        with pytest.raises(ValueError):
+            verify_theorem1_s1(BarnesParams(1, 1, 1), k_max=5)
+
+
 class TestTheorem2:
     def test_derivative_suite_passes(self):
         rep = verify_theorem2_derivative(BarnesParams(0.7, 1.3, 2.1), k_max=3)
@@ -134,9 +148,9 @@ class TestTheorem2:
     def test_k_minus1_closed_form(self):
         # v=w=1: residue at s=1 is 1-alpha, and -d/dalpha of the s=0 value
         # must match it; probe the finite difference explicitly
-        def f(alpha):
-            return zeta2_s_derivatives_at_0(
-                BarnesParams(alpha, 1.0, 1.0), 0)[0].real
+        def f(alphas):
+            return np.array([zeta2_s_derivatives_at_0(
+                BarnesParams(a, 1.0, 1.0), 0)[0].real for a in alphas])
 
         for alpha in (0.5, 1.0, 1.7):
             val, _ = central_difference(f, alpha, 1e-2)
@@ -146,9 +160,9 @@ class TestTheorem2:
         # halving h must cut the central-difference error by >= 3x; the
         # s=0 value itself is polynomial in alpha at v=w=1, so probe the
         # s-slope coefficient, which is not
-        def f(alpha):
-            return zeta2_s_derivatives_at_0(
-                BarnesParams(alpha, 1.0, 1.0), 1)[1].real
+        def f(alphas):
+            return np.array([zeta2_s_derivatives_at_0(
+                BarnesParams(a, 1.0, 1.0), 1)[1].real for a in alphas])
 
         exact, _ = central_difference(f, 0.8, 2e-2)
         e_h = abs(central_difference(f, 0.8, 0.2)[0] - exact)
@@ -237,29 +251,6 @@ class TestBounds:
             verify_bounds(a_list=(2.0,))
 
 
-class TestEstimateC:
-    def test_alpha_independent_and_symmetric(self):
-        grid = [BarnesParams(a, 1.0, 2.0) for a in (0.5, 1.0, 1.5)]
-        est = estimate_C(grid)
-        assert est.spread < 1e-4
-        assert not est.warning
-        swapped = estimate_C([BarnesParams(a, 2.0, 1.0)
-                              for a in (0.5, 1.0, 1.5)])
-        assert abs(est.value - swapped.value) < 1e-6
-
-    def test_unit_weights_value(self):
-        est = estimate_C([BarnesParams(a, 1.0, 1.0) for a in (0.5, 1.0)])
-        # fitted-log normalization lands near 1 + log 2
-        assert abs(est.value - (1.0 + math.log(2.0))) < 1e-3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            estimate_C([BarnesParams(1.0, 1.0, 1.0)])
-        with pytest.raises(ValueError):
-            estimate_C([BarnesParams(1.0, 1.0, 1.0),
-                        BarnesParams(1.0, 1.0, 2.0)])
-
-
 class TestRunSuites:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
@@ -274,4 +265,12 @@ class TestRunSuites:
     def test_reduction_suite_passes(self):
         reports = run_suites(["reduction"])
         assert len(reports) == 3
+        assert all(r.passed for r in reports)
+
+    def test_theorem1_s1_on_fixed_triples(self):
+        reports = [r for r in run_suites(["theorem1"])
+                   if r.suite == "theorem1_s1"]
+        fixed = default_parameter_suite()[:5]
+        assert [r.params for r in reports] == [
+            {"alpha": p.alpha, "v": p.v, "w": p.w} for p in fixed]
         assert all(r.passed for r in reports)
