@@ -20,7 +20,7 @@ import time
 
 from .barnes import BarnesParams, log_gamma2, polygamma2, zeta2
 from .config import SNAPSHOT
-from .errors import AccuracyError, PoleError
+from .errors import AccuracyError, ConsistencyError, PoleError
 from .hurwitz import stieltjes_constants
 from .laurent import gammak_at_1_limit, gammak_at_2_limit, laurent_at_1, \
     laurent_at_2, residue_at_1, residue_at_2
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AccuracyError as exc:
+    except (AccuracyError, ConsistencyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ACCURACY
     except ValueError as exc:

@@ -35,8 +35,6 @@ __all__ = [
     "gammak_at_1_limit",
 ]
 
-_M_CAP = 1e15  # beyond this, log-power cancellation degrades
-
 
 @dataclass(frozen=True)
 class LaurentExpansion:
@@ -196,7 +194,8 @@ def _limit_formula(p: BarnesParams, center: int, k_max: int, m_list):
     (``_extrapolate``); at c = 1 the extra log power of c = 2 moved g_0(1)
     by up to 2.4e-6 against 9.4e-10 without it.  Fewer give the last
     sample with the last difference as err.  M is 16..2^16 (the heads hold
-    max(M)+1 Hurwitz jets), by default 16*2^(j/2) rounded, j = 0..12, up
+    max(M)+1 Hurwitz jets) with alpha+(v+w)M < 1e15 (beyond it the log
+    powers cancel badly), by default 16*2^(j/2) rounded, j = 0..12, up
     to 1024.  Returns a tuple of (value, err), one per k.
     """
     if not 0 <= k_max <= 4:
@@ -204,10 +203,10 @@ def _limit_formula(p: BarnesParams, center: int, k_max: int, m_list):
     if m_list is None:
         m_list = [round(16 * 2 ** (j / 2)) for j in range(13)]
     m_list = sorted(int(m) for m in m_list)
-    if m_list[0] < 16 or m_list[-1] > 2 ** 16:
-        raise ValueError("every M must be in 16..2^16")
-    m_list = [m for m in m_list
-              if p.alpha + (p.v + p.w) * m < _M_CAP] or m_list[:1]
+    if (not m_list or m_list[0] < 16 or m_list[-1] > 2 ** 16
+            or p.alpha + (p.v + p.w) * m_list[-1] >= 1e15):
+        raise ValueError("every M must be in 16..2^16, with "
+                         "alpha + (v+w)*M below 1e15")
 
     ys = (_lattice_jet(p, center, k_max, m_list)
           + _counterterm_jet(p, center, m_list, k_max))
@@ -233,6 +232,6 @@ def gammak_at_2_limit(p: BarnesParams, k_max: int, m_list=None):
     return _limit_formula(p, 2, k_max, m_list)
 
 
-def gammak_at_1_limit(p: BarnesParams, k_max: int, m_list=None):
+def gammak_at_1_limit(p: BarnesParams, k_max: int):
     """(value, err) of g_0..g_k_max at s = 1, k_max <= 4 (limit formula)."""
-    return _limit_formula(p, 1, k_max, m_list)
+    return _limit_formula(p, 1, k_max, None)

@@ -187,15 +187,13 @@ def verify_theorem1(p: BarnesParams, k_max: int = 2,
     return VerificationReport("theorem1", checks, _params_dict(p))
 
 
-def verify_theorem1_s1(p: BarnesParams, k_max: int = 1,
+def verify_theorem1_s1(p: BarnesParams,
                        tol: float | None = None) -> VerificationReport:
-    """Residue and k-th limit formulas at s = 1."""
-    if not 0 <= k_max <= 4:
-        raise ValueError("k_max must be in 0..4")
+    """Residue and the g_0, g_1 limit formulas at s = 1."""
     tol = TOL_LIMIT if tol is None else tol
     checks = []
     try:
-        exp = laurent_at_1(p, k_max)
+        exp = laurent_at_1(p, 1)
         checks.append(_make_check("residue_s1", exp.gamma_minus1,
                                   residue_at_1(p), TOL_EXACT))
         checks += _limit_checks(gammak_at_1_limit, p, exp.gammas, "_s1", tol)

@@ -178,6 +178,17 @@ class TestLaurent:
         assert (abs(rec["gammas"][0] - jet.gammas[0])
                 <= rec["est_errors"][0] + 1e-9)
 
+    def test_limit_refusal_is_accuracy_error(self, capsys):
+        # the g_4(1) samples jump at the last M on this triple, and the
+        # limit formula refuses rather than extrapolate them
+        code, rec, err = run_cli(capsys, ["laurent", "--pole", "1",
+                                          "--method", "limit",
+                                          "--alpha", "1.569", "--v", "2.171",
+                                          "--w", "0.239", "--kmax", "4"])
+        assert code == 3
+        assert rec is None
+        assert "diverge" in err
+
 
 class TestSpecial:
     def test_stieltjes(self, capsys):

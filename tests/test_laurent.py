@@ -216,6 +216,11 @@ class TestGammakAt2Limit:
         # rejected before the heads ask for 2^43 rows
         with pytest.raises(ValueError):
             gammak_at_2_limit(p, 1, m_list=[2 ** e for e in range(40, 44)])
+        with pytest.raises(ValueError):
+            gammak_at_2_limit(p, 0, m_list=[])
+        # alpha + (v+w)M at or above 1e15 is refused, not thinned out
+        with pytest.raises(ValueError):
+            gammak_at_2_limit(BarnesParams(1, 1e12, 1e12), 0)
 
     def test_orders_beyond_four_rejected(self):
         # the extrapolation and its err are only checked up to k = 4

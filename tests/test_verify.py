@@ -126,16 +126,12 @@ class TestTheorem1:
 
 class TestTheorem1S1:
     def test_unit_parameters(self):
-        rep = verify_theorem1_s1(BarnesParams(1, 1, 1), k_max=1)
+        rep = verify_theorem1_s1(BarnesParams(1, 1, 1))
         assert rep.passed
         assert {c.id for c in rep.checks} == {
             "residue_s1", "gamma0_limit_formula_s1", "gamma1_limit_formula_s1"}
         g0 = next(c for c in rep.checks if c.id == "gamma0_limit_formula_s1")
         assert g0.abs_err < 1e-9
-
-    def test_kmax_validation(self):
-        with pytest.raises(ValueError):
-            verify_theorem1_s1(BarnesParams(1, 1, 1), k_max=5)
 
 
 class TestTheorem2:
