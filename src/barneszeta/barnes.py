@@ -19,6 +19,7 @@ from .numerics import (
     _hurwitz_jet,
     _jet_mul,
     _jet_pow,
+    _sum_in_order,
     frac_part_integral_1d,
     frac_part_integral_2d,
 )
@@ -91,23 +92,26 @@ def zeta2_direct(s, p: BarnesParams, M: int, with_error: bool = False):
 
 def _row_sum_jet(c, alpha, v, w, n: int):
     """Jet of T = sum_{m>=0} zeta_H(s, (alpha+m*v)/w) about s = c, slots
-    eps^-1..eps^n; zeta_2 = w^(-s) T.  c and alpha broadcast.  T has poles
-    at s = 1, 2, where its top slot is not exact.
+    eps^-1..eps^n, shape (n+2, *E) for E the broadcast shape of c and
+    alpha; zeta_2 = w^(-s) T.  T has poles at s = 1, 2, where its top slot
+    is not exact.
 
     zeta_H(s, A) obeys the rules of A^(-s), so ``_em_tail`` sums (or
     refuses) the rows beyond 1 to DIRECT_M head rows (``_head_length``,
     power 1) with h = v/w.  One Hurwitz jet call covers the heads, zeroed
-    beyond each element's own, and the cut shifts zeta_H(s+k, a_R), k = -1,
-    0, 1, 3, ..., 2 EM_ORDER+1, so a batch is bitwise equal to scalar calls.
+    beyond each element's own and summed in row order, and the cut shifts
+    zeta_H(s+k, a_R), k = -1, 0, 1, 3, ..., 2 EM_ORDER+1, so a batch is
+    bitwise equal to scalar calls.
     """
     c, alpha = np.asarray(c, dtype=complex), np.asarray(alpha, dtype=float)
     size = np.maximum(_head_length(c, alpha / w, v / w, EM_ORDER, 1, DIRECT_M), 1)
-    m = np.arange(size.max(initial=0))
+    row_axis = (-1,) + (1,) * size.ndim  # the row index R, ahead of E
+    m = np.arange(size.max(initial=0)).reshape(row_axis)
     shifts = np.array([0] * len(m) + [-1, 0, *range(1, 2 * EM_ORDER + 2, 2)])
-    rows = np.minimum(np.arange(len(shifts)), size[..., None])  # row R repeats
-    zh = _hurwitz_jet(c[..., None] + shifts, (alpha[..., None] + v * rows) / w, n)
-    head = np.where((m < size[..., None])[..., None], zh[..., :len(m), :], 0.0)
-    return _em_tail(c, v / w, head.sum(axis=-2), zh[..., len(m):, :])
+    rows = np.minimum(np.arange(len(shifts)).reshape(row_axis), size)  # R repeats
+    zh = _hurwitz_jet(c + shifts.reshape(row_axis), (alpha + v * rows) / w, n)
+    head = _sum_in_order(np.where(m < size, zh[:, :len(m)], 0.0))
+    return _em_tail(c, v / w, head, zh[:, len(m):])
 
 
 def _zeta2_jet(c, p: BarnesParams, n: int):
@@ -126,7 +130,7 @@ def zeta2(s, p: BarnesParams):
         raise PoleError(1)
     if np.any(s_in == 2.0):
         raise PoleError(2)
-    out = _zeta2_jet(s_in, p, 1)[..., 1]
+    out = _zeta2_jet(s_in, p, 1)[1]
     return complex(out) if s_in.ndim == 0 else out
 
 

@@ -54,7 +54,7 @@ def hurwitz_zeta(s, a):
         raise ValueError("a must be positive")
     if np.any(s_arr == 1.0):
         raise PoleError(1, "zeta_H has its pole at s = 1")
-    out = _hurwitz_jet(s_arr, a_arr, 1)[..., 1]
+    out = _hurwitz_jet(s_arr, a_arr, 1)[1]
     if np.asarray(s).ndim == 0 and np.asarray(a).ndim == 0:
         return complex(out)
     return out

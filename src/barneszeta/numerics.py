@@ -80,42 +80,63 @@ _B = bernoulli_numbers(_BERNOULLI_MAX)
 
 
 # A jet about the center c holds a truncated Laurent series in eps = s - c
-# on its last axis: the coefficients of eps^-1, eps^0, ..., eps^n.  A
-# product with a pole factor needs the other factor one order higher, so
-# its top slot is not exact and evaluators carry one order more than read.
+# on its first axis: the coefficients of eps^-1, eps^0, ..., eps^n.  A jet
+# of elements of shape E is (n+2, *E), so every slot is one contiguous
+# array over the elements; structural axes (the correction index j, the
+# head row m) come next and the element axes trail, so centers and
+# arguments broadcast as they would without the jet.  A product with a pole
+# factor needs the other factor one order higher, so its top slot is not
+# exact and evaluators carry one order more than read.
 # Rounding floor of a jet coefficient, relative to max(1, |coefficient|):
 # 16x the worst error seen against mpmath at orders -1..12.
 _JET_REL_ERR = 2.0 ** -36
 
 
+def _sum_in_order(x):
+    """x (n+2, R, *E) summed over R from 0 in index order, whatever E is.
+    numpy's sum adds an innermost axis pairwise, which rounds differently,
+    and R is innermost where E is (); index order keeps a batch bitwise
+    equal to scalar calls."""
+    out = np.zeros(x.shape[:1] + x.shape[2:], dtype=x.dtype)
+    for i in range(x.shape[1]):
+        out += x[:, i]
+    return out
+
+
 def _jet_mul(x, y):
-    """Product of two jets; the eps^-2 slot (pole times pole) is dropped."""
-    n2 = x.shape[-1]
-    out = x[..., 1:2] * y  # eps^0 of x times every slot of y
-    out[..., :-1] += x[..., :1] * y[..., 1:]
+    """Product of two jets; the eps^-2 slot (pole times pole) is dropped.
+    A jet with fewer element axes gains them after its slot axis, so the
+    elements broadcast as numpy broadcasts them."""
+    nd = max(x.ndim, y.ndim)
+    x, y = (z.reshape(z.shape[:1] + (1,) * (nd - z.ndim) + z.shape[1:])
+            for z in (x, y))
+    n2 = len(x)
+    out = x[1:2] * y  # eps^0 of x times every slot of y
+    out[:-1] += x[:1] * y[1:]
     for i in range(2, n2):
         # eps^(i-1) * eps^(j-1) lands in slot i + j - 1
-        out[..., i - 1:] += x[..., i:i + 1] * y[..., :n2 - i + 1]
+        out[i - 1:] += x[i:i + 1] * y[:n2 - i + 1]
     return out
 
 
 def _jet_pow(x, c, n: int):
     """Jet of x^-s about s = c for x > 0: x^-c sum_k (-log x)^k/k! eps^k."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros(np.broadcast(x, c).shape + (n + 2,), dtype=complex)
-    out[..., 1] = x ** -np.asarray(c, dtype=complex)
+    out = np.zeros((n + 2,) + np.broadcast(x, c).shape, dtype=complex)
+    out[1] = x ** -np.asarray(c, dtype=complex)
     mlog = -np.log(x)
     for k in range(1, n + 1):
-        out[..., k + 1] = out[..., k] * mlog / k
+        out[k + 1] = out[k] * mlog / k
     return out
 
 
 def _jet_recip(c, n: int):
     """Jet of 1/(s-1) about s = c; where c = 1 it is the pole slot alone."""
-    d = np.asarray(c, dtype=complex)[..., None] - 1.0
+    d = np.asarray(c, dtype=complex) - 1.0
     pole = d == 0
-    taylor = -(-1.0 / np.where(pole, 1.0, d)) ** np.arange(1, n + 2)
-    return np.concatenate([pole, np.where(pole, 0.0, taylor)], axis=-1)
+    k = np.arange(1, n + 2).reshape((-1,) + (1,) * d.ndim)
+    taylor = -(-1.0 / np.where(pole, 1.0, d)) ** k
+    return np.concatenate([pole[None], np.where(pole, 0.0, taylor)])
 
 
 def _head_length(c, a, h, j_len: int, power: int, cap: int):
@@ -157,31 +178,32 @@ def _em_tail(c, h, head, cut):
     """sum_{m>=0} G(s, A+h*m) by Euler-Maclaurin on jets about s = c.
 
     G obeys the rules of A^(-s): d/dA G(s) = -s G(s+1), integral_A^inf
-    G(s) = G(s-1, A)/(s-1).  ``head`` is the jet of the terms before the cut
-    A_M; ``cut`` (..., J+3, n+2) holds G(s+k, A_M) for k = -1, 0, 1, 3, ..,
-    2J+1.  Returns head + G(s-1)/(h(s-1)) + G(s)/2 + sum_{j<=J} B_2j/(2j)!
-    h^(2j-1) (s)_{2j-1} G(s+2j-1); a zero of (s)_{2j-1} meets a pole of G in
-    one jet product.  Raises AccuracyError where the first omitted term,
-    j = J+1, is NaN or exceeds the rounding floor in a slot below the top.
+    G(s) = G(s-1, A)/(s-1).  ``head`` (n+2, *E) is the jet of the terms
+    before the cut A_M; ``cut`` (n+2, J+3, *E) holds G(s+k, A_M) for k = -1,
+    0, 1, 3, .., 2J+1; c broadcasts against E.  Returns head + G(s-1)/(h(s-1))
+    + G(s)/2 + sum_{j<=J} B_2j/(2j)! h^(2j-1) (s)_{2j-1} G(s+2j-1), the sum
+    in the order of j; a zero of (s)_{2j-1} meets a pole of G in one jet
+    product.  Raises AccuracyError where the first omitted term, j = J+1,
+    is NaN or exceeds the rounding floor in a slot below the top.
     """
     c = np.asarray(c, dtype=complex)
-    j_len, n2 = cut.shape[-2] - 3, cut.shape[-1]
-    out = (head + _jet_mul(cut[..., 0, :], _jet_recip(c, n2 - 2)) / h
-           + 0.5 * cut[..., 1, :])
-    rising = [np.zeros(c.shape + (n2,), dtype=complex)]  # (s)_0, (s)_1, ...
-    rising[0][..., 1] = 1.0
+    c = c.reshape((1,) * (head.ndim - 1 - c.ndim) + c.shape)  # rank of E
+    n2, j_len = cut.shape[0], cut.shape[1] - 3
+    out = head + _jet_mul(cut[:, 0], _jet_recip(c, n2 - 2)) / h + 0.5 * cut[:, 1]
+    rising = [np.zeros((n2,) + c.shape, dtype=complex)]  # (s)_0, (s)_1, ...
+    rising[0][1] = 1.0
     for i in range(2 * j_len + 1):
         # (s)_{i+1} = (s)_i (c + i + eps); eps moves every slot up by one
-        nxt = rising[-1] * (c[..., None] + i)
-        nxt[..., 2:] += rising[-1][..., 1:-1]
+        nxt = rising[-1] * (c + i)
+        nxt[2:] += rising[-1][1:-1]
         rising.append(nxt)
     coefs = np.array([_B[2 * j] / math.factorial(2 * j) * h ** (2 * j - 1)
                       for j in range(1, j_len + 2)])
-    poch = np.stack(rising[1::2], axis=-2)  # (s)_{2j-1}, j = 1..J+1
-    terms = coefs[:, None] * _jet_mul(poch, cut[..., 2:, :])
-    out = out + terms[..., :-1, :].sum(axis=-2)
-    omitted = np.abs(terms[..., -1, :-1])  # the top slot is not read
-    if not np.all(omitted <= _JET_REL_ERR * np.maximum(1.0, np.abs(out[..., :-1]))):
+    poch = np.stack(rising[1::2], axis=1)  # (s)_{2j-1}, j = 1..J+1
+    terms = coefs.reshape((-1,) + (1,) * c.ndim) * _jet_mul(poch, cut[:, 2:])
+    out = out + _sum_in_order(terms[:, :-1])
+    omitted = np.abs(terms[:-1, -1])  # the top slot is not read
+    if not np.all(omitted <= _JET_REL_ERR * np.maximum(1.0, np.abs(out[:-1]))):
         raise AccuracyError(
             f"Euler-Maclaurin truncation error up to {np.max(omitted):.3g}: "
             "s is beyond the reach of the capped head length",
@@ -190,27 +212,33 @@ def _em_tail(c, h, head, cut):
 
 
 def _hurwitz_jet(c, a, n: int):
-    """Jet of zeta_H(s, a) about s = c, slots eps^-1..eps^n.
+    """Jet of zeta_H(s, a) about s = c, slots eps^-1..eps^n, shape (n+2, *E)
+    for E the broadcast shape of c and a.
 
     ``_em_tail`` with G = A^(-s), h = 1 and HURWITZ_J corrections at the
     cut A = N + a, where G(s+k) is A^(-k) A^(-s).  The head length N is
     chosen per element by ``_head_length`` (power 0): the least N whose
     first omitted correction is below 2^-53 of the tail, at most HURWITZ_M.
-    Terms are summed up to the largest N and zeroed beyond each element's
-    own, so a batch is bitwise equal to scalar calls.  c and a broadcast;
-    the jet is on a new last axis.  Raises AccuracyError where the first
-    omitted correction at N = HURWITZ_M exceeds the jet's rounding floor,
-    which happens for |Im c| beyond about 150-200.
+    Head terms are built only for the elements with N > 0 (on a lattice of
+    rows, the few nearest the origin), summed in order up to the largest N
+    and zeroed beyond each element's own, so a batch is bitwise equal to
+    scalar calls.  Raises AccuracyError where the first omitted correction
+    at N = HURWITZ_M exceeds the jet's rounding floor, which happens for
+    |Im c| beyond about 150-200.
     """
     c = np.asarray(c, dtype=complex)
     a = np.asarray(a, dtype=float)
     size = _head_length(c, a, 1.0, HURWITZ_J, 0, HURWITZ_M)
-    m = np.arange(size.max(initial=0))
-    terms = _jet_pow(a[..., None] + m, c[..., None], n)
-    head = np.where((m < size[..., None])[..., None], terms, 0.0).sum(axis=-2)
+    head = np.zeros((n + 2,) + size.shape, dtype=complex)
+    some = size > 0
+    if np.any(some):
+        m = np.arange(size.max())[:, None]
+        terms = _jet_pow(np.broadcast_to(a, size.shape)[some] + m,
+                         np.broadcast_to(c, size.shape)[some], n)
+        head[:, some] = _sum_in_order(np.where(m < size[some], terms, 0.0))
     base = a + size
     k = np.array([-1, 0, *range(1, 2 * HURWITZ_J + 2, 2)])
-    cut = (base[..., None] ** -k)[..., None] * _jet_pow(base, c, n)[..., None, :]
+    cut = base ** -k.reshape((-1,) + (1,) * base.ndim) * _jet_pow(base, c, n)[:, None]
     return _em_tail(c, 1.0, head, cut)
 
 
@@ -232,11 +260,12 @@ def frac_part_integral_1d(a, c, s, with_error: bool = False):
     terms = np.stack([
         a * pow_a,
         a * a / c * _jet_mul(pow_a, _jet_recip(s - 1.0, 1)),
-        -c * _jet_mul(_jet_pow(c, s, 1), _hurwitz_jet(s - 1.0, a / c, 1))])
-    bracket = terms.sum(axis=0)
+        -c * _jet_mul(_jet_pow(c, s, 1), _hurwitz_jet(s - 1.0, a / c, 1))],
+        axis=1)
+    bracket = _sum_in_order(terms)
     bracket[0] = 0.0  # the bracket is analytic at s = 2
     value = complex(_jet_mul(bracket, _jet_recip(s, 1))[1]) / c
-    err = _JET_REL_ERR * float(np.abs(terms[:, :2]).max()) / (c * abs(s - 1.0))
+    err = _JET_REL_ERR * float(np.abs(terms[:2]).max()) / (c * abs(s - 1.0))
     return (value, err) if with_error else value
 
 
@@ -304,7 +333,7 @@ def frac_part_integral_2d(alpha, v, w, s, with_error: bool = False):
     sig_y = np.append(np.full(frac.size, s), sig[:-1])
     g = np.concatenate([
         _hurwitz_jet(sig_y[i:i + 8192] - 1.0, alpha + h * y[i:i + 8192] + 1.0,
-                     1)[:, 1] for i in range(0, y.size, 8192)]) / (1.0 - sig_y)
+                     1)[1] for i in range(0, y.size, 8192)]) / (1.0 - sig_y)
     terms = width * frac * g[:frac.size].reshape(frac.shape)
     full, half = terms[:, :len(_XC)] @ _WC, terms[:, len(_XC):] @ _WH
     tails = coef[:-1] * g[frac.size:]
@@ -351,23 +380,30 @@ def richardson_extrapolate(values, model: int):
 def e_algorithm(ys, remainder_funcs):
     """Brezinski E-algorithm: eliminate the given remainder basis in order.
 
-    ``remainder_funcs`` are arrays of the basis functions sampled at the
-    same points as ``ys``; the first min(n-1, len) of them are eliminated,
+    ``ys`` (..., n) holds n samples after any leading batch axes, and
+    ``remainder_funcs`` (..., k, n) the basis functions sampled at the same
+    points, k of them per batch row; the first min(n-1, k) are eliminated,
     at least one.  Returns (limit, err) with err the size of the last
-    correction, the change of the last entry in the final elimination.
+    correction, the change of the last entry in the final elimination:
+    floats for one row of samples, arrays over the batch axes otherwise.
     """
-    steps = min(len(ys) - 1, len(remainder_funcs))
+    ys = np.asarray(ys, dtype=float)
+    funcs = np.asarray(remainder_funcs, dtype=float).reshape(
+        ys.shape[:-1] + (-1, ys.shape[-1]))
+    steps = min(ys.shape[-1] - 1, funcs.shape[-2])
     if steps < 1:
         raise ValueError("need at least two samples and one remainder function")
     # row 0 is the sequence, row j the j-th function; each step eliminates
     # row 1 from the others and drops it
-    e = np.vstack([ys, *remainder_funcs[:steps]]).astype(float)
+    e = np.concatenate([ys[..., None, :], funcs[..., :steps, :]], axis=-2)
     for _ in range(steps):
-        gk, prev_last = e[1], e[0, -1]
-        rest = np.delete(e, 1, axis=0)
-        e = (gk[1:] * rest[:, :-1] - gk[:-1] * rest[:, 1:]) / (gk[1:] - gk[:-1])
-    limit = float(e[0, -1])
-    return limit, abs(limit - float(prev_last))
+        gk, prev_last = e[..., 1:2, :], e[..., 0, -1]
+        rest = np.concatenate([e[..., :1, :], e[..., 2:, :]], axis=-2)
+        e = ((gk[..., 1:] * rest[..., :-1] - gk[..., :-1] * rest[..., 1:])
+             / (gk[..., 1:] - gk[..., :-1]))
+    limit = e[..., 0, -1]
+    err = np.abs(limit - prev_last)
+    return (float(limit), float(err)) if ys.ndim == 1 else (limit, err)
 
 
 def contour_coefficients(f, spec: ContourSpec, pole_order: int = 0):

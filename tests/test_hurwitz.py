@@ -16,7 +16,7 @@ from barneszeta import (
 )
 from barneszeta.config import HURWITZ_J, HURWITZ_M
 from barneszeta.errors import AccuracyError, PoleError
-from barneszeta.numerics import _head_length
+from barneszeta.numerics import _head_length, _hurwitz_jet
 
 from conftest import (GAMMA0_HALF, RAW_STIELTJES_1, ZETA2, ZETA3, ZETA4,
                       zeta2_commensurate_mpmath)
@@ -127,6 +127,19 @@ class TestHurwitzZeta:
         vec = hurwitz_zeta(s, a)
         for (i, j), vi in np.ndenumerate(vec):
             assert vi == hurwitz_zeta(complex(s[i, 0]), float(a[j]))
+
+    def test_jet_on_lattice_rows_matches_scalar(self):
+        # the limit formula's rows a_m = (alpha+m v)/w: head terms are built
+        # only for the rows with a head, the first few; every slot of the
+        # batch must equal the scalar call bit for bit
+        a = (2.5 + 0.5 * np.arange(300)) / 2.5
+        for c in (2.0, 1.0, 0.5 + 30j):
+            sizes = _head_length(c, a, 1.0, HURWITZ_J, 0, HURWITZ_M)
+            assert 0 < np.count_nonzero(sizes) < len(a) // 2
+            jet = _hurwitz_jet(c, a, 4)
+            assert jet.shape == (6, len(a))
+            for i in [*np.flatnonzero(sizes), *range(0, len(a), 7)]:
+                assert np.array_equal(jet[:, i], _hurwitz_jet(c, a[i], 4))
 
     def test_pole_and_domain_errors(self):
         with pytest.raises(PoleError):

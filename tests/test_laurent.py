@@ -200,11 +200,11 @@ class TestGammakAt2Limit:
         # the lattice jet is entire, so the pole is the counterterm's alone
         p = BarnesParams(0.7, 1.3, 2.1)
         jet = laurent._counterterm_jet(p, 2, [16, 1024], 3)
-        assert jet.shape == (2, 5)
-        assert np.allclose(jet[:, 0], residue_at_2(p), rtol=1e-15, atol=0)
+        assert jet.shape == (5, 2)
+        assert np.allclose(jet[0], residue_at_2(p), rtol=1e-15, atol=0)
         jet = laurent._counterterm_jet(p, 1, [16, 1024], 3)
-        assert jet.shape == (2, 5)
-        assert np.all(np.abs(jet[:, 0] - residue_at_1(p))
+        assert jet.shape == (5, 2)
+        assert np.all(np.abs(jet[0] - residue_at_1(p))
                       <= 1e-12 * (1 / p.v + 1 / p.w))
 
     def test_validation(self):
@@ -240,10 +240,10 @@ class TestLatticeLogSums:
         for i, m in enumerate(ms):
             for k in range(3):
                 ref = brute_lattice_log_sums(p, k, m, 2)
-                s_k = (-1) ** k * math.factorial(k) * jet2[i, k + 1]
+                s_k = (-1) ** k * math.factorial(k) * jet2[k + 1, i]
                 assert abs(s_k - ref) <= 1e-13 * abs(ref), (m, k)
             ref = brute_lattice_log_sums(p, 0, m, 1)
-            assert abs(jet1[i, 1] - ref) <= 1e-13 * abs(ref), m
+            assert abs(jet1[1, i] - ref) <= 1e-13 * abs(ref), m
 
     @pytest.mark.parametrize("triple", [(0.1, 4.9, 0.1), (2.5, 0.5, 2.5),
                                         (0.7, 2.1, 1.3)])
@@ -254,6 +254,17 @@ class TestLatticeLogSums:
             assert np.array_equal(_lattice_jet(p, center, 2, (16, 4096)),
                                   _lattice_jet(p.swapped(), center, 2,
                                                (16, 4096)))
+
+    @pytest.mark.parametrize("block", [7, 256, 10 ** 6])
+    def test_head_blocks_match_one_block(self, monkeypatch, block):
+        # the heads are taken _HEAD_BLOCK rows at a time; any block size,
+        # one block for all rows included, gives the same bits
+        p = BarnesParams(0.1, 4.9, 0.1)
+        ms = (16, 90, 1024)
+        want = {c: _lattice_jet(p, c, 4, ms) for c in (1, 2)}
+        monkeypatch.setattr(laurent, "_HEAD_BLOCK", block)
+        for c in (1, 2):
+            assert np.array_equal(_lattice_jet(p, c, 4, ms), want[c])
 
     @pytest.mark.parametrize("triple", [(0.7, 1.3, 2.1), (2.5, 0.5, 2.5),
                                         (5.0, 5.0, 5.0), (0.1, 0.1, 0.1),
@@ -267,15 +278,15 @@ class TestLatticeLogSums:
         for m in (16, 64):
             outer = _row_sum_jet(power, [alpha + (m + 1) * w,
                                          alpha + (m + 1) * (v + w)], v, w, 5)
-            strip = (outer[0] - outer[1])[1:5]
-            ref = _hurwitz_jet(power, a[:m + 1] + m + 1, 5)[:, 1:5].sum(axis=0)
+            strip = (outer[:, 0] - outer[:, 1])[1:5]
+            ref = _hurwitz_jet(power, a[:m + 1] + m + 1, 5)[1:5].sum(axis=1)
             err = np.abs(strip - ref)
             if v / w > 0.1:
                 assert np.all(err <= 1e-14 * np.abs(ref)), (m, err / np.abs(ref))
             else:
                 # v/w = 1/49: the strip is about 150x smaller than the row
                 # sums it is the difference of, and that sets its error
-                scale = np.abs(outer[0]) + np.abs(outer[1])
+                scale = np.abs(outer[:, 0]) + np.abs(outer[:, 1])
                 assert np.all(err <= 1e-15 * scale[1:5]), (m, err / scale[1:5])
 
     def test_hurwitz_work_of_default_limit(self, monkeypatch):

@@ -225,6 +225,23 @@ class TestRichardson:
         assert err == pytest.approx(abs(ys[-1] - val), rel=1e-12)
         assert abs(val - 1.0) <= err
 
+    def test_e_algorithm_batch_matches_rows(self):
+        # leading batch axes: each row of samples with its own basis, as
+        # the limit formula extrapolates every order at once
+        ms = np.round(16 * 2 ** (np.arange(9) / 2))
+        ys = np.array([1.0 + np.log(ms) / ms, 2.0 - 1 / ms ** 2,
+                       np.cos(ms) / ms ** 3])
+        funcs = np.array([[np.log(ms) ** a / ms ** b
+                           for b in (1, 2, 3, 4) for a in (k, 0)]
+                          for k in range(1, 4)])
+        for n_funcs in (2, 8):
+            val, err = e_algorithm(ys, funcs[:, :n_funcs])
+            assert val.shape == err.shape == (3,)
+            for k in range(3):
+                assert (val[k], err[k]) == e_algorithm(ys[k], funcs[k, :n_funcs])
+        with pytest.raises(ValueError):
+            e_algorithm(ys[:, :1], funcs[..., :1])
+
     def test_e_algorithm_needs_one_step(self):
         with pytest.raises(ValueError):
             e_algorithm([1.0, 2.0], [])
