@@ -2,8 +2,8 @@
 s = 1, from the Euler-Maclaurin jet, by finite-M limit formulas at either
 pole, and by the closed integral representation of the constant term at
 s = 2.  The limit formulas sum the lattice as Hurwitz row heads minus
-strips of outer row sums, one pass over max(M)+1 rows for every order,
-add the closed-form jet of the integral outside the square and its
+strips of outer row sums, one Hurwitz call over max(M)+1 rows for every
+order, add the closed-form jet of the integral outside the square and its
 first-order edge terms, and extrapolate in M on log^a(M)/M^b, b >= c.
 
 Coefficients are raw Laurent coefficients:
@@ -114,30 +114,24 @@ def gamma0_at_2_integral(p: BarnesParams) -> float:
                  - (1.0 + math.log(p.alpha)) / (p.v * p.w))
 
 
-# Hurwitz head jets per call of the lattice sums: bounds their temporaries
-_HEAD_BLOCK = 256
-
-
-def _lattice_jet(p: BarnesParams, center: int, k_max: int, m_list):
+def _lattice_jet(p: BarnesParams, center: int, k_max: int, ms):
     """Jet about s = center, slots eps^-1..eps^k_max, of sum_{m,n<=M} A^-s,
-    one element per M: slot k is (-1)^k/k! sum log^k(A)/A^center.
+    one element per M in ms: slot k is (-1)^k/k! sum log^k(A)/A^center.
 
     Rows over n are exact Hurwitz differences, sum_{n<=M} A^-s = w^-s
     [zeta_H(s, a_m) - zeta_H(s, a_m+M+1)], a_m = (alpha+m v)/w.  The heads
-    are one prefix sum over m <= max(M), their jets taken _HEAD_BLOCK rows
-    at a time.  Each M's strip of tails is
-    T(alpha+(M+1)w) - T(alpha+(M+1)(v+w)), T the outer row sum
-    (``_row_sum_jet``), all from one call; v <= w keeps its step v/w <= 1.
-    Jets with a pole (T, and the heads at s = 1) take one order more.  The
-    pole slot of head minus strip cancels and is set to 0: the jet is entire.
+    are one prefix sum over the max(M)+1 jets of one Hurwitz call.  Each
+    M's strip of tails is T(alpha+(M+1)w) - T(alpha+(M+1)(v+w)), T the
+    outer row sum (``_row_sum_jet``), all from one call; v <= w keeps its
+    step v/w <= 1.  Jets with a pole (T, and the heads at s = 1) take one
+    order more.  The pole slot of head minus strip cancels and is set to 0:
+    the jet is entire.
     """
     alpha, v, w = p.alpha, min(p.v, p.w), max(p.v, p.w)
     n = k_max + (center == 1)
-    ms = np.array(m_list)
+    ms = np.array(ms)
     a = (alpha + v * np.arange(ms.max() + 1)) / w
-    heads = np.concatenate([_hurwitz_jet(center, a[i:i + _HEAD_BLOCK], n)
-                            for i in range(0, len(a), _HEAD_BLOCK)], axis=1)
-    heads = np.cumsum(heads, axis=1)[:, ms]
+    heads = np.cumsum(_hurwitz_jet(center, a, n), axis=1)[:, ms]
     starts = alpha + (ms + 1) * np.array([[w], [v + w]])
     outer = _row_sum_jet(center, starts, v, w, n + 1)[:-1]
     rows = heads - (outer[:, 0] - outer[:, 1])
@@ -198,55 +192,45 @@ def _extrapolate(ms, ys, log_powers, b0: int):
             for v, c, *mv in zip(value, corr, *moves)]
 
 
-def _limit_formula(p: BarnesParams, center: int, k_max: int, m_list):
+# the limit formulas' M: 16*2^(j/2) rounded, j = 0..12, up to 1024
+_M_LIST = tuple(round(16 * 2 ** (j / 2)) for j in range(13))
+
+
+def _limit_formula(p: BarnesParams, center: int, k_max: int):
     """Finite-M limit-formula values of g_0..g_k_max about s = c = center.
 
     g_k(c) = lim_M slot k of [ sum_{m,n<=M} A^(-s) + counterterm(M) ],
-    A = alpha+m*v+n*w: ``_lattice_jet`` plus ``_counterterm_jet``.  Four or
-    more samples are extrapolated on log^a(M)/M^b, a = k+c-1..0, b >= c,
-    every k in one batch (``_extrapolate``), once the divergence guard has
-    passed every k; at c = 1 the extra log power of c = 2 moved g_0(1)
-    by up to 2.4e-6 against 9.4e-10 without it.  Fewer give the last
-    sample with the last difference as err.  M is 16..2^16 (the heads hold
-    max(M)+1 Hurwitz jets) with alpha+(v+w)M < 1e15 (beyond it the log
-    powers cancel badly), by default 16*2^(j/2) rounded, j = 0..12, up
-    to 1024.  Returns a tuple of (value, err), one per k.
+    A = alpha+m*v+n*w: ``_lattice_jet`` plus ``_counterterm_jet`` at every
+    M of _M_LIST.  Once the divergence guard has passed every k, the
+    samples are extrapolated on log^a(M)/M^b, a = k+c-1..0, b >= c, every
+    k in one batch (``_extrapolate``); at c = 1 the extra log power of
+    c = 2 moved g_0(1) by up to 2.4e-6 against 9.4e-10 without it.
+    alpha+(v+w)*max(M) must stay below 1e15: beyond it the log powers
+    cancel badly.  Returns a tuple of (value, err), one per k.
     """
     if not 0 <= k_max <= 4:
         raise ValueError("k_max must be in 0..4")
-    if m_list is None:
-        m_list = [round(16 * 2 ** (j / 2)) for j in range(13)]
-    m_list = sorted(int(m) for m in m_list)
-    if (not m_list or m_list[0] < 16 or m_list[-1] > 2 ** 16
-            or p.alpha + (p.v + p.w) * m_list[-1] >= 1e15):
-        raise ValueError("every M must be in 16..2^16, with "
-                         "alpha + (v+w)*M below 1e15")
+    if p.alpha + (p.v + p.w) * _M_LIST[-1] >= 1e15:
+        raise ValueError(f"alpha + (v+w)*{_M_LIST[-1]} must be below 1e15")
 
-    ys = (_lattice_jet(p, center, k_max, m_list)
-          + _counterterm_jet(p, center, m_list, k_max))[1:]
-    if len(m_list) >= 3:
-        for k, y in enumerate(ys):
-            d1, d2 = abs(y[-1] - y[-2]), abs(y[-2] - y[-3])
-            if d1 > 10.0 * d2 and d1 > 1e-6:
-                raise ConsistencyError(
-                    f"finite-M samples of g_{k} diverge non-monotonically; "
-                    f"last corrections {d2:.3g} -> {d1:.3g}")
-    if len(m_list) >= 4:
-        ms = np.array(m_list, dtype=float)
-        return tuple(_extrapolate(ms, ys, np.arange(k_max + 1) + center - 1,
-                                  center))
-    results = []
-    for y in ys:
-        err = abs(y[-1] - y[-2]) if len(y) > 1 else float("inf")
-        results.append((float(y[-1]), float(err)))
-    return tuple(results)
+    ys = (_lattice_jet(p, center, k_max, _M_LIST)
+          + _counterterm_jet(p, center, _M_LIST, k_max))[1:]
+    for k, y in enumerate(ys):
+        d1, d2 = abs(y[-1] - y[-2]), abs(y[-2] - y[-3])
+        if d1 > 10.0 * d2 and d1 > 1e-6:
+            raise ConsistencyError(
+                f"finite-M samples of g_{k} diverge non-monotonically; "
+                f"last corrections {d2:.3g} -> {d1:.3g}")
+    ms = np.array(_M_LIST, dtype=float)
+    return tuple(_extrapolate(ms, ys, np.arange(k_max + 1) + center - 1,
+                              center))
 
 
-def gammak_at_2_limit(p: BarnesParams, k_max: int, m_list=None):
+def gammak_at_2_limit(p: BarnesParams, k_max: int):
     """(value, err) of g_0..g_k_max at s = 2, k_max <= 4 (limit formula)."""
-    return _limit_formula(p, 2, k_max, m_list)
+    return _limit_formula(p, 2, k_max)
 
 
 def gammak_at_1_limit(p: BarnesParams, k_max: int):
     """(value, err) of g_0..g_k_max at s = 1, k_max <= 4 (limit formula)."""
-    return _limit_formula(p, 1, k_max, None)
+    return _limit_formula(p, 1, k_max)

@@ -145,8 +145,8 @@ class VerificationReport:
                    f"{c.rel_err:.17g},{c.tol:.17g},{str(c.passed).lower()}")
 
 
-def default_parameter_suite(seed: int | None = None, n_random: int = 5):
-    """Five fixed triples plus seeded-random ones in (0.1, 5]^3."""
+def default_parameter_suite(seed: int | None = None):
+    """Five fixed triples plus five seeded-random ones in (0.1, 5]^3."""
     fixed = [
         BarnesParams(1.0, 1.0, 1.0),
         BarnesParams(0.5, 1.0, 1.0),
@@ -155,7 +155,7 @@ def default_parameter_suite(seed: int | None = None, n_random: int = 5):
         BarnesParams(0.7, 1.3, 2.1),
     ]
     rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-    rand = [BarnesParams(*(0.1 + 4.9 * rng.random(3))) for _ in range(n_random)]
+    rand = [BarnesParams(*(0.1 + 4.9 * rng.random(3))) for _ in range(5)]
     return fixed + rand
 
 
@@ -293,20 +293,17 @@ def verify_reduction(p: BarnesParams, s_grid,
     return VerificationReport("reduction", checks, _params_dict(p))
 
 
-def verify_bounds(k_max: int = 10,
-                  a_list=(0.1, 0.3, 0.5, 1.0)) -> VerificationReport:
-    """Classical upper bounds on the Laurent coefficients.
+def verify_bounds() -> VerificationReport:
+    """Classical upper bounds on the Laurent coefficients, k = 1..10.
 
     Hurwitz case: |g_k(a) - (-1)^k log^k(a)/(a k!)| <= (3+(-1)^k)/(k pi^k)
-    for 0 < a <= 1.  Riemann case: |g_k| <= (3+(-1)^k)(2k)!/(k^(k+1)(2pi)^k).
-    Pure boolean comparisons (tol 0).
+    for a in 0.1, 0.3, 0.5, 1.  Riemann case:
+    |g_k| <= (3+(-1)^k)(2k)!/(k^(k+1)(2pi)^k).  Pure boolean comparisons
+    (tol 0).
     """
-    if not 1 <= k_max <= 10:
-        raise ValueError("k_max must be in 1..10")
+    k_max, a_list = 10, (0.1, 0.3, 0.5, 1.0)
     checks = []
     for a in a_list:
-        if not 0 < a <= 1:
-            raise ValueError("each a must be in (0, 1]")
         table = stieltjes_constants(a, k_max)
         for k in range(1, k_max + 1):
             centred = abs(table.gammas[k]

@@ -41,7 +41,7 @@ def verdict(num, ok, desc):
 
 @pytest.fixture(scope="module")
 def ten_triples():
-    return default_parameter_suite(n_random=5)
+    return default_parameter_suite()
 
 
 class TestAcceptance:
@@ -151,7 +151,7 @@ class TestAcceptance:
                        f"Euler within {euler_err:.2e}")
 
     def test_10_coefficient_bounds(self):
-        rep = verify_bounds(k_max=10, a_list=(0.1, 0.3, 0.5, 1.0))
+        rep = verify_bounds()
         verdict(10, rep.passed,
                 f"classical coefficient bounds, k=1..10: "
                 f"{sum(c.passed for c in rep.checks)}/{len(rep.checks)} hold")

@@ -167,6 +167,17 @@ class TestLaurent:
         assert rec is None
         assert "k_max" in err
 
+    @pytest.mark.parametrize("pole", ["1", "2"])
+    def test_limit_refuses_huge_weights(self, capsys, pole):
+        # alpha + (v+w)*max(M) at or above 1e15 is a usage error at either
+        # pole: the log powers would cancel badly
+        code, rec, err = run_cli(capsys, ["laurent", "--pole", pole,
+                                          "--method", "limit", "--alpha", "1",
+                                          "--v", "1e12", "--w", "1e12"])
+        assert code == 64
+        assert rec is None
+        assert "alpha + (v+w)*1024 must be below 1e15" in err
+
     def test_limit_method_pole1(self, capsys):
         code, rec, _ = run_cli(capsys, ["laurent", "--pole", "1",
                                         "--method", "limit", "--alpha", "0.7",

@@ -96,8 +96,8 @@ class TestParameterSuite:
         assert default_parameter_suite(1) != default_parameter_suite(2)
 
     def test_shape(self):
-        suite = default_parameter_suite(n_random=3)
-        assert len(suite) == 8
+        suite = default_parameter_suite()
+        assert len(suite) == 10
         assert suite[0] == BarnesParams(1.0, 1.0, 1.0)
         assert all(0.1 < p.alpha <= 5.0 for p in suite[5:])
 
@@ -239,12 +239,6 @@ class TestBounds:
         rep = verify_bounds()
         assert rep.passed
         assert len(rep.checks) == 4 * 10 + 10
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            verify_bounds(k_max=0)
-        with pytest.raises(ValueError):
-            verify_bounds(a_list=(2.0,))
 
 
 class TestRunSuites:
