@@ -20,7 +20,7 @@ import time
 
 from .barnes import BarnesParams, log_gamma2, polygamma2, zeta2
 from .config import SNAPSHOT
-from .errors import AccuracyError, ConsistencyError, PoleError
+from .errors import AccuracyError, ConsistencyError
 from .hurwitz import stieltjes_constants
 from .laurent import gammak_at_1_limit, gammak_at_2_limit, laurent_at_1, \
     laurent_at_2, residue_at_1, residue_at_2
@@ -103,16 +103,12 @@ def _cmd_eval(args) -> int:
     if s in (1.0 + 0j, 2.0 + 0j) and not args.laurent_fallback:
         sys.stderr.write(f"zeta2 has a pole at s = {int(s.real)}\n")
         return EXIT_POLE
-    try:
-        if s in (1.0 + 0j, 2.0 + 0j):
-            # --laurent-fallback: report the regular part at the pole
-            exp = (laurent_at_1 if s.real == 1.0 else laurent_at_2)(p, 0)
-            value, err, method = complex(exp.gammas[0]), exp.errs[0], "laurent"
-        else:
-            value, err, method = zeta2(s, p), None, "em"
-    except PoleError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_POLE
+    if s in (1.0 + 0j, 2.0 + 0j):
+        # --laurent-fallback: report the regular part at the pole
+        exp = (laurent_at_1 if s.real == 1.0 else laurent_at_2)(p, 0)
+        value, err, method = complex(exp.gammas[0]), exp.errs[0], "laurent"
+    else:
+        value, err, method = zeta2(s, p), None, "em"
     rec = _record(args, started,
                   value={"re": _num(value.real), "im": _num(value.imag)},
                   est_error=(None if err is None else _num(err)),

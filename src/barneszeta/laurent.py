@@ -4,7 +4,8 @@ pole, and by the closed integral representation of the constant term at
 s = 2.  The limit formulas sum the lattice as Hurwitz row heads minus
 strips of outer row sums, one Hurwitz call over max(M)+1 rows for every
 order, add the closed-form jet of the integral outside the square and its
-first-order edge terms, and extrapolate in M on log^a(M)/M^b, b >= c.
+first-order edge terms, and extrapolate in M by an exact fit on
+log^a(M)/M^b, b >= c.
 
 Coefficients are raw Laurent coefficients:
 
@@ -13,7 +14,6 @@ Coefficients are raw Laurent coefficients:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +22,8 @@ import numpy as np
 from .barnes import BarnesParams, _integral_rep_regular, _row_sum_jet, _zeta2_jet
 from .errors import ConsistencyError
 from .hurwitz import _hurwitz_jet
-from .numerics import _JET_REL_ERR, _jet_mul, _jet_pow, _jet_recip, e_algorithm
+from .numerics import (_JET_REL_ERR, _fit_limit, _jet_mul, _jet_pow, _jet_recip,
+                       _remainder_basis)
 
 __all__ = [
     "LaurentExpansion",
@@ -171,25 +172,21 @@ def _counterterm_jet(p: BarnesParams, center: int, ms, n: int):
 
 def _extrapolate(ms, ys, log_powers, b0: int):
     """Limits of the rows of samples ys at ms, row k with a remainder that
-    is a series in log^a(M)/M^b, b >= b0, a = log_powers[k]..0: the
-    E-algorithm on the first n-1 of these functions, n samples, all rows in
-    one call.  err is three times the largest of the last correction and
-    the moves of the limit when the last sample, the last two or the first
-    is left out; the last two catch a remainder that is not yet in its
-    asymptotic regime, as on lopsided weights.  Returns (value, err) per row.
+    is a series in log^a(M)/M^b, b >= b0, a = log_powers[k]..0: the exact
+    fit of the n samples on the first n-1 of these functions, all rows in
+    one solve (``_fit_limit``).  err is three times the largest move of the
+    limit when the last sample, the last two or the first is left out, each
+    with as many functions fewer; the last two catch a remainder that is
+    not yet in its asymptotic regime, as on lopsided weights.  Returns
+    (value, err) per row.
     """
-    def basis(log_power):
-        powers = itertools.islice(((a, b) for b in itertools.count(b0)
-                                   for a in range(log_power, -1, -1)),
-                                  len(ms) - 1)
-        return [np.log(ms) ** a / ms ** b for a, b in powers]
-
-    funcs = np.array([basis(q) for q in log_powers])
-    value, corr = e_algorithm(ys, funcs)
-    moves = [np.abs(value - e_algorithm(ys[:, sl], funcs[..., sl])[0])
-             for sl in (slice(None, -1), slice(None, -2), slice(1, None))]
-    return [(float(v), 3.0 * float(max(c, *mv)))
-            for v, c, *mv in zip(value, corr, *moves)]
+    n = len(ms)
+    funcs = np.array([_remainder_basis(ms, q, b0) for q in log_powers])
+    value = _fit_limit(ys, funcs)
+    moves = [np.abs(value - _fit_limit(ys[:, lo:hi], funcs[:, :hi - lo - 1, lo:hi]))
+             for lo, hi in ((0, n - 1), (0, n - 2), (1, n))]
+    return [(float(v), 3.0 * float(max(mv)))
+            for v, *mv in zip(value, *moves)]
 
 
 # the limit formulas' M: 16*2^(j/2) rounded, j = 0..12, up to 1024

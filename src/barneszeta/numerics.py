@@ -2,7 +2,8 @@
 
 Bernoulli numbers, jets in s, the Euler-Maclaurin sum and the Hurwitz jet,
 the sawtooth integrals (1-D in closed form, 2-D by Gauss cells), sequence
-extrapolation, and circle-contour extraction of Taylor/Laurent coefficients.
+extrapolation by an exact fit, and circle-contour extraction of
+Taylor/Laurent coefficients.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "frac_part_integral_1d",
     "frac_part_integral_2d",
     "richardson_extrapolate",
-    "e_algorithm",
     "contour_coefficients",
     "contour_coefficients_with_error",
     "central_difference",
@@ -94,13 +94,14 @@ _JET_REL_ERR = 2.0 ** -36
 
 def _sum_in_order(x):
     """x (n+2, R, *E) summed over R from 0 in index order, whatever E is.
-    numpy's sum adds an innermost axis pairwise, which rounds differently,
-    and R is innermost where E is (); index order keeps a batch bitwise
-    equal to scalar calls."""
-    out = np.zeros(x.shape[:1] + x.shape[2:], dtype=x.dtype)
-    for i in range(x.shape[1]):
-        out += x[:, i]
-    return out
+    numpy reduces the innermost axis pairwise, which rounds differently,
+    and any other axis row by row, in index order, which keeps a batch
+    bitwise equal to scalar calls.  Where E holds one element, R would be
+    innermost, so R goes to the front of a contiguous copy; elsewhere the
+    copy would cost more than the sum."""
+    if math.prod(x.shape[2:]) > 1:
+        return np.add.reduce(x, axis=1, initial=0.0)
+    return np.add.reduce(x.swapaxes(0, 1).copy(), axis=0, initial=0.0)
 
 
 def _jet_mul(x, y):
@@ -344,14 +345,32 @@ def frac_part_integral_2d(alpha, v, w, s, with_error: bool = False):
     return (value, float(err)) if with_error else value
 
 
+def _remainder_basis(ms, log_power: int, b0: int):
+    """The first n-1 functions log^a(M)/M^b, b >= b0, a = log_power..0,
+    in that order, sampled at the n points ms: shape (n-1, n)."""
+    powers = [(a, b) for b in range(b0, b0 + len(ms))
+              for a in range(log_power, -1, -1)][:len(ms) - 1]
+    return np.array([np.log(ms) ** a / ms ** b for a, b in powers])
+
+
+def _fit_limit(ys, funcs):
+    """L of the exact fit y_i = L + sum_j c_j g_j(M_i), n samples ys
+    (..., n) on n-1 functions funcs (..., n-1, n), over any leading batch
+    axes: one linear solve, each column scaled to unit max first."""
+    ys = np.asarray(ys, dtype=float)
+    cols = np.concatenate([np.ones_like(ys)[..., None, :], funcs], axis=-2)
+    cols = cols / np.abs(cols).max(axis=-1, keepdims=True)
+    return np.linalg.solve(np.swapaxes(cols, -1, -2), ys[..., None])[..., 0, 0]
+
+
 def richardson_extrapolate(values, model: int):
     """Accelerate a sequence whose remainder decays like log^p(M)/M.
 
     ``values`` is a sequence of (M, y) samples at increasing (ideally
-    geometric) M; ``model`` is the log power p.  Successively eliminates
-    the remainder basis log^p(M)/M, ..., 1/M, log^p(M)/M^2, ... with the
-    E-algorithm.  Returns (limit, err) where err is the magnitude of the
-    last correction.
+    geometric) M; ``model`` is the log power p.  Fits the samples exactly
+    on the remainder basis log^p(M)/M, ..., 1/M, log^p(M)/M^2, ...
+    (``_fit_limit``).  Returns (limit, err) where err is how far the limit
+    moves when the first sample and the last function are left out.
     """
     if len(values) < 3:
         raise ValueError("need at least 3 samples")
@@ -364,46 +383,9 @@ def richardson_extrapolate(values, model: int):
     if np.all(ys == ys[0]):
         return float(ys[0]), 0.0
 
-    n = len(ys)
-    funcs = []
-    b = 1
-    while len(funcs) < n - 1:
-        for a in range(model, -1, -1):
-            funcs.append((a, b))
-            if len(funcs) == n - 1:
-                break
-        b += 1
-    g = [np.log(ms) ** a / ms ** b for a, b in funcs]
-    return e_algorithm(ys, g)
-
-
-def e_algorithm(ys, remainder_funcs):
-    """Brezinski E-algorithm: eliminate the given remainder basis in order.
-
-    ``ys`` (..., n) holds n samples after any leading batch axes, and
-    ``remainder_funcs`` (..., k, n) the basis functions sampled at the same
-    points, k of them per batch row; the first min(n-1, k) are eliminated,
-    at least one.  Returns (limit, err) with err the size of the last
-    correction, the change of the last entry in the final elimination:
-    floats for one row of samples, arrays over the batch axes otherwise.
-    """
-    ys = np.asarray(ys, dtype=float)
-    funcs = np.asarray(remainder_funcs, dtype=float).reshape(
-        ys.shape[:-1] + (-1, ys.shape[-1]))
-    steps = min(ys.shape[-1] - 1, funcs.shape[-2])
-    if steps < 1:
-        raise ValueError("need at least two samples and one remainder function")
-    # row 0 is the sequence, row j the j-th function; each step eliminates
-    # row 1 from the others and drops it
-    e = np.concatenate([ys[..., None, :], funcs[..., :steps, :]], axis=-2)
-    for _ in range(steps):
-        gk, prev_last = e[..., 1:2, :], e[..., 0, -1]
-        rest = np.concatenate([e[..., :1, :], e[..., 2:, :]], axis=-2)
-        e = ((gk[..., 1:] * rest[..., :-1] - gk[..., :-1] * rest[..., 1:])
-             / (gk[..., 1:] - gk[..., :-1]))
-    limit = e[..., 0, -1]
-    err = np.abs(limit - prev_last)
-    return (float(limit), float(err)) if ys.ndim == 1 else (limit, err)
+    funcs = _remainder_basis(ms, model, 1)
+    limit = _fit_limit(ys, funcs)
+    return float(limit), float(abs(limit - _fit_limit(ys[1:], funcs[:-1, 1:])))
 
 
 def contour_coefficients(f, spec: ContourSpec, pole_order: int = 0):

@@ -104,7 +104,7 @@ class TestAcceptance:
             slowest = max(slowest, time.perf_counter() - started)
             worst = max(worst, abs(val - laurent_at_2(p, 0).gammas[0]))
         ok = worst < 1e-6 and slowest < 10.0
-        verdict(6, ok, f"constant-term integral vs contour, 5 sets: "
+        verdict(6, ok, f"constant-term integral vs jet, 5 sets: "
                        f"max err {worst:.2e} (tol 1e-6), slowest "
                        f"{slowest:.2f}s (budget 10s)")
 

@@ -38,7 +38,7 @@ class TestResidues:
             assert residue_at_2(p) == 1.0 / (p.v * p.w)
             assert residue_at_1(p) == (p.v + p.w - 2 * p.alpha) / (2 * p.v * p.w)
 
-    def test_contour_matches_exact(self, fixed_suite):
+    def test_jet_matches_exact(self, fixed_suite):
         for p in fixed_suite:
             e2 = laurent_at_2(p, 0)
             e1 = laurent_at_1(p, 0)
@@ -149,7 +149,7 @@ class TestGamma0At2Integral:
     def test_unit_parameters_euler(self):
         assert abs(gamma0_at_2_integral(BarnesParams(1, 1, 1)) - EULER) < 1e-8
 
-    def test_matches_contour(self, fixed_suite):
+    def test_matches_jet(self, fixed_suite):
         for p in fixed_suite:
             exp = laurent_at_2(p, 0)
             assert abs(gamma0_at_2_integral(p) - exp.gammas[0]) < 1e-6
@@ -165,7 +165,7 @@ class TestGamma0At2Integral:
 
 
 class TestGammakAt2Limit:
-    def test_matches_contour(self, fixed_suite):
+    def test_matches_jet(self, fixed_suite):
         for p in fixed_suite:
             exp = laurent_at_2(p, 2)
             for k, (val, err) in enumerate(gammak_at_2_limit(p, 2)):

@@ -22,11 +22,13 @@ from barneszeta.errors import DomainError
 from barneszeta.hurwitz import _hurwitz_jet, hurwitz_zeta
 from barneszeta.numerics import (
     _B,
+    _fit_limit,
     _head_length,
     _jet_mul,
     _jet_pow,
+    _remainder_basis,
+    _sum_in_order,
     central_difference,
-    e_algorithm,
 )
 
 from conftest import (EULER, I2_1114, brute_frac_1d, brute_frac_2d,
@@ -209,44 +211,49 @@ class TestRichardson:
         with pytest.raises(ValueError):
             richardson_extrapolate([(32, 1.0), (16, 1.1), (64, 1.2)], model=1)
 
-    def test_e_algorithm_exact_basis(self):
+
+class TestFitLimit:
+    def test_exact_model(self):
         ms = np.array([2.0 ** k for k in range(4, 9)])
         ys = 5.0 + 2.0 / ms + 0.3 / ms ** 2
-        val, _ = e_algorithm(ys, [1.0 / ms, 1.0 / ms ** 2])
-        assert abs(val - 5.0) < 1e-10
+        assert abs(_fit_limit(ys, _remainder_basis(ms, 0, 1)) - 5.0) < 1e-12
 
-    def test_e_algorithm_short_basis_reports_last_correction(self):
-        # one function for six samples: the limit is taken from the last
-        # two, and err is how far that step moved the last sample
-        ms = 16.0 * 2.0 ** np.arange(6)
-        ys = 1.0 + 1.0 / ms + 1.0 / ms ** 2
-        val, err = e_algorithm(ys, [1.0 / ms])
-        assert val == pytest.approx(1.0 - 1.0 / (256 * 512), abs=1e-15)
-        assert err == pytest.approx(abs(ys[-1] - val), rel=1e-12)
-        assert abs(val - 1.0) <= err
-
-    def test_e_algorithm_batch_matches_rows(self):
+    def test_batch_matches_rows(self):
         # leading batch axes: each row of samples with its own basis, as
         # the limit formula extrapolates every order at once
         ms = np.round(16 * 2 ** (np.arange(9) / 2))
         ys = np.array([1.0 + np.log(ms) / ms, 2.0 - 1 / ms ** 2,
                        np.cos(ms) / ms ** 3])
-        funcs = np.array([[np.log(ms) ** a / ms ** b
-                           for b in (1, 2, 3, 4) for a in (k, 0)]
-                          for k in range(1, 4)])
-        for n_funcs in (2, 8):
-            val, err = e_algorithm(ys, funcs[:, :n_funcs])
-            assert val.shape == err.shape == (3,)
-            for k in range(3):
-                assert (val[k], err[k]) == e_algorithm(ys[k], funcs[k, :n_funcs])
-        with pytest.raises(ValueError):
-            e_algorithm(ys[:, :1], funcs[..., :1])
+        funcs = np.array([_remainder_basis(ms, k, 2) for k in range(1, 4)])
+        for sl in (slice(None), slice(None, -2), slice(3, None)):
+            n = len(ms[sl])
+            val = _fit_limit(ys[:, sl], funcs[:, :n - 1, sl])
+            assert val.shape == (3,)
+            rows = [_fit_limit(ys[k, sl], funcs[k, :n - 1, sl]) for k in range(3)]
+            assert np.array_equal(val, rows)
 
-    def test_e_algorithm_needs_one_step(self):
-        with pytest.raises(ValueError):
-            e_algorithm([1.0, 2.0], [])
-        with pytest.raises(ValueError):
-            e_algorithm([1.0], [np.array([1.0])])
+    def test_remainder_basis_shape_and_order(self):
+        ms = np.array([16.0, 23.0, 32.0, 45.0, 64.0])
+        basis = _remainder_basis(ms, 1, 2)
+        assert basis.shape == (4, 5)
+        log = np.log(ms)
+        expected = [log / ms ** 2, 1 / ms ** 2, log / ms ** 3, 1 / ms ** 3]
+        assert np.array_equal(basis, expected)
+
+
+class TestSumInOrder:
+    def test_matches_loop_bitwise(self):
+        # index order, from +0.0, over every shape the jets use
+        rng = np.random.default_rng(7)
+        for shape in ((3, 12), (4, 64), (3, 1), (5, 9, 4), (3, 12, 2, 3)):
+            x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+                * 10.0 ** rng.integers(-8, 8, shape)
+            x[:, ::3] = -0.0
+            loop = np.zeros(x.shape[:1] + x.shape[2:], dtype=complex)
+            for i in range(x.shape[1]):
+                loop += x[:, i]
+            out = _sum_in_order(x)
+            assert out.tobytes() == loop.tobytes()
 
 
 class TestFracPart1D:
