@@ -14,6 +14,7 @@ from .config import DIRECT_M, EM_ORDER
 from .errors import AccuracyError, DomainError, PoleError
 from .hurwitz import hurwitz_zeta
 from .numerics import (
+    _center,
     _em_tail,
     _head_length,
     _hurwitz_jet,
@@ -103,7 +104,7 @@ def _row_sum_jet(c, alpha, v, w, n: int):
     zeta_H(s+k, a_R), k = -1, 0, 1, 3, ..., 2 EM_ORDER+1, so a batch is
     bitwise equal to scalar calls.
     """
-    c, alpha = np.asarray(c, dtype=complex), np.asarray(alpha, dtype=float)
+    c, alpha = _center(c), np.asarray(alpha, dtype=float)
     size = np.maximum(_head_length(c, alpha / w, v / w, EM_ORDER, 1, DIRECT_M), 1)
     row_axis = (-1,) + (1,) * size.ndim  # the row index R, ahead of E
     m = np.arange(size.max(initial=0)).reshape(row_axis)
@@ -193,7 +194,7 @@ def polygamma2(k: int, p: BarnesParams) -> float:
         raise ValueError("k must be non-negative")
     if k == 0:
         return log_gamma2(p)
-    jet = _zeta2_jet(float(k), p, 1).real
+    jet = _zeta2_jet(float(k), p, 1)
     harmonic = sum(1.0 / i for i in range(1, k))
     try:
         value = (-1) ** k * math.factorial(k - 1) * float(jet[1] + harmonic * jet[0])

@@ -76,6 +76,6 @@ def stieltjes_constants(a: float, k_max: int) -> StieltjesTable:
     if not 0 <= k_max <= 16:
         raise ValueError("k_max must be in 0..16")
     jet = _hurwitz_jet(1.0, a, k_max + 1)
-    gammas = tuple(float(g.real) for g in jet[1:k_max + 2])
+    gammas = tuple(float(g) for g in jet[1:k_max + 2])
     errs = tuple(_JET_REL_ERR * max(1.0, abs(g)) for g in gammas)
     return StieltjesTable(a=a, gammas=gammas, errs=errs)

@@ -86,10 +86,22 @@ _B = bernoulli_numbers(_BERNOULLI_MAX)
 # head row m) come next and the element axes trail, so centers and
 # arguments broadcast as they would without the jet.  A product with a pole
 # factor needs the other factor one order higher, so its top slot is not
-# exact and evaluators carry one order more than read.
+# exact and evaluators carry one order more than read.  A jet's dtype
+# follows its center (``_center``): float64 about a real center, complex128
+# about a complex one.  x^-c alone stays a complex power whose real part is
+# taken, because numpy's float64 power rounds differently in its SIMD,
+# strided and 0-d loops, which would leave a batch unequal to its scalar
+# calls.
 # Rounding floor of a jet coefficient, relative to max(1, |coefficient|):
 # 16x the worst error seen against mpmath at orders -1..12.
 _JET_REL_ERR = 2.0 ** -36
+
+
+def _center(c):
+    """The center c of a jet as an array: complex128 where c is complex,
+    else float64; an array already of that dtype is not copied."""
+    c = np.asarray(c)
+    return c.astype(complex if c.dtype.kind == "c" else float, copy=False)
 
 
 def _sum_in_order(x):
@@ -122,9 +134,10 @@ def _jet_mul(x, y):
 
 def _jet_pow(x, c, n: int):
     """Jet of x^-s about s = c for x > 0: x^-c sum_k (-log x)^k/k! eps^k."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((n + 2,) + np.broadcast(x, c).shape, dtype=complex)
-    out[1] = x ** -np.asarray(c, dtype=complex)
+    x, c = np.asarray(x, dtype=float), _center(c)
+    out = np.zeros((n + 2,) + np.broadcast(x, c).shape, dtype=c.dtype)
+    power = x ** -c.astype(complex, copy=False)
+    out[1] = power if c.dtype == complex else power.real
     mlog = -np.log(x)
     for k in range(1, n + 1):
         out[k + 1] = out[k] * mlog / k
@@ -133,7 +146,7 @@ def _jet_pow(x, c, n: int):
 
 def _jet_recip(c, n: int):
     """Jet of 1/(s-1) about s = c; where c = 1 it is the pole slot alone."""
-    d = np.asarray(c, dtype=complex) - 1.0
+    d = _center(c) - 1.0
     pole = d == 0
     k = np.arange(1, n + 2).reshape((-1,) + (1,) * d.ndim)
     taylor = -(-1.0 / np.where(pole, 1.0, d)) ** k
@@ -187,11 +200,11 @@ def _em_tail(c, h, head, cut):
     product.  Raises AccuracyError where the first omitted term, j = J+1,
     is NaN or exceeds the rounding floor in a slot below the top.
     """
-    c = np.asarray(c, dtype=complex)
+    c = _center(c)
     c = c.reshape((1,) * (head.ndim - 1 - c.ndim) + c.shape)  # rank of E
     n2, j_len = cut.shape[0], cut.shape[1] - 3
     out = head + _jet_mul(cut[:, 0], _jet_recip(c, n2 - 2)) / h + 0.5 * cut[:, 1]
-    rising = [np.zeros((n2,) + c.shape, dtype=complex)]  # (s)_0, (s)_1, ...
+    rising = [np.zeros((n2,) + c.shape, dtype=c.dtype)]  # (s)_0, (s)_1, ...
     rising[0][1] = 1.0
     for i in range(2 * j_len + 1):
         # (s)_{i+1} = (s)_i (c + i + eps); eps moves every slot up by one
@@ -227,10 +240,10 @@ def _hurwitz_jet(c, a, n: int):
     at N = HURWITZ_M exceeds the jet's rounding floor, which happens for
     |Im c| beyond about 150-200.
     """
-    c = np.asarray(c, dtype=complex)
+    c = _center(c)
     a = np.asarray(a, dtype=float)
     size = _head_length(c, a, 1.0, HURWITZ_J, 0, HURWITZ_M)
-    head = np.zeros((n + 2,) + size.shape, dtype=complex)
+    head = np.zeros((n + 2,) + size.shape, dtype=c.dtype)
     some = size > 0
     if np.any(some):
         m = np.arange(size.max())[:, None]

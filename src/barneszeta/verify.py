@@ -228,7 +228,7 @@ def _alpha_slope(p: BarnesParams, center: float, k_max: int):
 
     def jets(alphas):
         rows = _row_sum_jet(center, alphas, p.v, p.w, n)
-        return _jet_mul(_jet_pow(p.w, center, n), rows)[:k_max + 2].real.T
+        return _jet_mul(_jet_pow(p.w, center, n), rows)[:k_max + 2].T
 
     return central_difference(jets, p.alpha, FD_STEP * p.alpha, levels=4)[0]
 

@@ -162,7 +162,8 @@ class TestZeta2:
         # the lattice strips batch the outer row sum over its start alpha;
         # row counts from 1 to DIRECT_M are zero-padded up to the longest.
         # A scalar call sums its head rows on the innermost axis, where a
-        # pairwise sum would round differently from the batch
+        # pairwise sum would round differently from the batch.  Real
+        # centers run in float64, complex ones in complex128
         v, w = 1.3, 2.1
         alphas = np.array([0.01, 0.7, 3.0, 30.0, 2.1 * 65, 3.4 * 4097, 1e4])
         counts = set()
@@ -171,6 +172,7 @@ class TestZeta2:
             assert len(np.unique(np.maximum(rows, 1))) >= 3
             counts.update(np.maximum(rows, 1))
             vec = _row_sum_jet(c, alphas, v, w, 4)
+            assert vec.dtype == np.result_type(c, float)
             for ai, vi in zip(alphas, vec.T):
                 assert np.array_equal(vi, _row_sum_jet(c, ai, v, w, 4))
         assert min(counts) == 1 and max(counts) == DIRECT_M

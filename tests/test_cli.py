@@ -173,10 +173,10 @@ class TestLaurent:
         # pole: the log powers would cancel badly
         code, rec, err = run_cli(capsys, ["laurent", "--pole", pole,
                                           "--method", "limit", "--alpha", "1",
-                                          "--v", "1e12", "--w", "1e12"])
+                                          "--v", "2e12", "--w", "2e12"])
         assert code == 64
         assert rec is None
-        assert "alpha + (v+w)*1024 must be below 1e15" in err
+        assert "alpha + (v+w)*362 must be below 1e15" in err
 
     def test_limit_method_pole1(self, capsys):
         code, rec, _ = run_cli(capsys, ["laurent", "--pole", "1",
@@ -190,12 +190,14 @@ class TestLaurent:
                 <= rec["est_errors"][0] + 1e-9)
 
     def test_limit_refusal_is_accuracy_error(self, capsys):
-        # the g_4(1) samples jump at the last M on this triple, and the
+        # the g_3(1) samples jump at the last M on this triple, and the
         # limit formula refuses rather than extrapolate them
         code, rec, err = run_cli(capsys, ["laurent", "--pole", "1",
                                           "--method", "limit",
-                                          "--alpha", "1.569", "--v", "2.171",
-                                          "--w", "0.239", "--kmax", "4"])
+                                          "--alpha", "4.3168651153400965",
+                                          "--v", "1.2724408747204459",
+                                          "--w", "0.31892580300684575",
+                                          "--kmax", "4"])
         assert code == 3
         assert rec is None
         assert "diverge" in err

@@ -16,7 +16,7 @@ from barneszeta import (
 )
 from barneszeta.config import HURWITZ_J, HURWITZ_M
 from barneszeta.errors import AccuracyError, PoleError
-from barneszeta.numerics import _head_length, _hurwitz_jet
+from barneszeta.numerics import _head_length, _hurwitz_jet, _jet_pow
 
 from conftest import (GAMMA0_HALF, RAW_STIELTJES_1, ZETA2, ZETA3, ZETA4,
                       zeta2_commensurate_mpmath)
@@ -140,6 +140,20 @@ class TestHurwitzZeta:
             assert jet.shape == (6, len(a))
             for i in [*np.flatnonzero(sizes), *range(0, len(a), 7)]:
                 assert np.array_equal(jet[:, i], _hurwitz_jet(c, a[i], 4))
+
+    def test_real_center_jets_are_float64(self):
+        # a real center keeps the jet in float64.  It is not bitwise the
+        # real part of the complex-center jet, since numpy's complex / int
+        # rounds differently from float / int, but within 4 ulp of it
+        a = np.geomspace(0.01, 1e4, 400)
+        for c in (1.0, 2.0, 3):
+            for jet, ref in ((_jet_pow(a, c, 6), _jet_pow(a, complex(c), 6)),
+                             (_hurwitz_jet(c, a, 6),
+                              _hurwitz_jet(complex(c), a, 6))):
+                assert jet.dtype == np.float64 and ref.dtype == np.complex128
+                assert np.all(ref.imag == 0)
+                ulp = 2.0 ** -52 * np.maximum(1.0, np.abs(ref.real))
+                assert np.all(np.abs(jet - ref.real) <= 4 * ulp), c
 
     def test_pole_and_domain_errors(self):
         with pytest.raises(PoleError):

@@ -174,11 +174,12 @@ class TestGammakAt2Limit:
     @pytest.mark.parametrize("triple", [
         (1.0, 1.0, 1.0), (0.5, 1.0, 1.0), (1.0, 1.0, 2.0), (2.0, 3.0, 1.0),
         (0.7, 1.3, 2.1), (2.5, 0.5, 2.5), (0.1, 4.9, 0.1), (0.1, 0.1, 4.9),
-        (5.0, 5.0, 5.0)])
+        (5.0, 5.0, 5.0), (1.569, 2.171, 0.239), (3.5667, 0.10588, 2.5665)])
     def test_err_bounds_error(self, triple):
-        # the fixed five, the certify anchor, both lopsided triples and
-        # large alpha: the reported err plus the jet's bar covers the gap,
-        # about either pole
+        # the fixed five, the certify anchor, both lopsided triples, large
+        # alpha, and two triples whose g_4(1) samples jumped at M = 1024
+        # under the first-order counterterm: the reported err plus the
+        # jet's bar covers the gap, about either pole
         p = BarnesParams(*triple)
         for center, jet, limit in ((2, laurent_at_2, gammak_at_2_limit),
                                    (1, laurent_at_1, gammak_at_1_limit)):
@@ -188,13 +189,13 @@ class TestGammakAt2Limit:
                 assert gap <= err + exp.errs[k], (center, k, gap, err)
 
     def test_unaccelerated_path(self):
-        # with the first-order edge terms in the counterterm, the raw
-        # eps^0 sample at M = 1024, before any extrapolation, is already
-        # within 3e-7 of Euler's constant
+        # with the edge and corner terms in the counterterm, the raw eps^0
+        # sample at M = 362, before any extrapolation, is already within
+        # 1e-8 of Euler's constant (4.4e-10; first order alone left 2.1e-6)
         p = BarnesParams(1, 1, 1)
-        ms = (512, 1024)
+        ms = (256, 362)
         jet = _lattice_jet(p, 2, 0, ms) + laurent._counterterm_jet(p, 2, ms, 0)
-        assert abs(jet[1, -1] - EULER) < 3e-7
+        assert abs(jet[1, -1] - EULER) < 1e-8
 
     def test_counterterm_jet_pole_is_residue(self):
         # the lattice jet is entire, so the pole is the counterterm's alone
@@ -212,8 +213,8 @@ class TestGammakAt2Limit:
         with pytest.raises(ValueError):
             gammak_at_2_limit(p, -1)
         # alpha + (v+w)M at or above 1e15 is refused, not thinned out
-        with pytest.raises(ValueError):
-            gammak_at_2_limit(BarnesParams(1, 1e12, 1e12), 0)
+        with pytest.raises(ValueError, match=r"alpha \+ \(v\+w\)\*362"):
+            gammak_at_2_limit(BarnesParams(1, 2e12, 2e12), 0)
 
     def test_orders_beyond_four_rejected(self):
         # the extrapolation and its err are only checked up to k = 4
@@ -272,9 +273,9 @@ class TestLatticeLogSums:
                 assert np.all(err <= 1e-15 * scale[1:5]), (m, err / scale[1:5])
 
     def test_hurwitz_work_of_default_limit(self, monkeypatch):
-        # one call for the heads over max(M)+1 = 1025 rows and one for the
-        # 26 outer starts of 14 rows each: 1,389 jets.  Summing each M's
-        # tail row by row took 12,232
+        # one call for the heads over max(M)+1 = 363 rows and one for the
+        # 20 outer starts of 14 rows each: 643 jets.  Summing each M's
+        # tail row by row took 12,232 with M up to 1024
         count = []
 
         def counted(c, a, n):
@@ -284,5 +285,5 @@ class TestLatticeLogSums:
         monkeypatch.setattr(barnes, "_hurwitz_jet", counted)
         monkeypatch.setattr(laurent, "_hurwitz_jet", counted)
         gammak_at_2_limit(BarnesParams(0.7, 1.3, 2.1), 2)
-        assert sum(count) <= 1389, sum(count)
+        assert sum(count) <= 643, sum(count)
         assert len(count) == 2, count

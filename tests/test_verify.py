@@ -113,6 +113,14 @@ class TestTheorem1:
         with pytest.raises(ValueError):
             verify_theorem1(BarnesParams(1, 1, 1), k_max=5)
 
+    def test_lopsided_limit_formula_to_k4(self):
+        # w/v = 40: the limit route at k = 4 was 1.04e-5 relative off, over
+        # TOL_LIMIT; the second-order counterterm brings it to about 1e-7
+        rep = verify_theorem1(BarnesParams(3.1075792861307994,
+                                           0.11289069276886864,
+                                           4.560995172522605), k_max=4)
+        assert rep.passed, [c for c in rep.checks if not c.passed]
+
     def test_lopsided_integral_form(self):
         # boundary layers of width alpha/max(v, w) = 1/49 and 1/50; the
         # sawtooth integrals take them in closed form
