@@ -256,6 +256,21 @@ def _hurwitz_jet(c, a, n: int):
     return _em_tail(c, 1.0, head, cut)
 
 
+def _frac_1d(a, c, s, zh):
+    """I_1 of ``frac_part_integral_1d`` and its bar from zh, the jet of
+    zeta_H(s-1, a/c) about s; the jets follow s, real or complex."""
+    pow_a = _jet_pow(a, s, 1)
+    terms = np.stack([
+        a * pow_a,
+        a * a / c * _jet_mul(pow_a, _jet_recip(s - 1.0, 1)),
+        -c * _jet_mul(_jet_pow(c, s, 1), zh)], axis=1)
+    bracket = _sum_in_order(terms)
+    bracket[0] = 0.0  # the bracket is analytic at s = 2
+    value = _jet_mul(bracket, _jet_recip(s, 1))[1] / c
+    err = _JET_REL_ERR * float(np.abs(terms[:2]).max()) / (c * abs(s - 1.0))
+    return value, err
+
+
 def frac_part_integral_1d(a, c, s, with_error: bool = False):
     """integral_0^inf (x-[x]) (a+cx)^(-s) dx for Re(s) > 1, in closed form.
 
@@ -270,20 +285,12 @@ def frac_part_integral_1d(a, c, s, with_error: bool = False):
         raise ValueError("a and c must be positive")
     if s.real <= 1:
         raise DomainError("frac_part_integral_1d requires Re(s) > 1")
-    pow_a = _jet_pow(a, s, 1)
-    terms = np.stack([
-        a * pow_a,
-        a * a / c * _jet_mul(pow_a, _jet_recip(s - 1.0, 1)),
-        -c * _jet_mul(_jet_pow(c, s, 1), _hurwitz_jet(s - 1.0, a / c, 1))],
-        axis=1)
-    bracket = _sum_in_order(terms)
-    bracket[0] = 0.0  # the bracket is analytic at s = 2
-    value = complex(_jet_mul(bracket, _jet_recip(s, 1))[1]) / c
-    err = _JET_REL_ERR * float(np.abs(terms[:2]).max()) / (c * abs(s - 1.0))
-    return (value, err) if with_error else value
+    value, err = _frac_1d(a, c, s, _hurwitz_jet(s - 1.0, a / c, 1))
+    return (complex(value), err) if with_error else complex(value)
 
 
 _TAIL_TERMS = 5  # Euler-Maclaurin correction terms kept in the 2-D tail
+_CHUNK = 8192  # Hurwitz points per call of the 2-D rule: bounds the jets' memory
 
 
 def _gauss_rule(n: int):
@@ -297,31 +304,14 @@ def _gauss_rule(n: int):
 (_XC, _WC), (_XH, _WH) = map(_gauss_rule, (QUAD_CELL_ORDER, QUAD_CELL_ORDER // 2))
 
 
-def frac_part_integral_2d(alpha, v, w, s, with_error: bool = False):
-    """integral_0^inf integral_0^inf (x-[x])(y-[y]) (alpha+v*y+w*x)^(-s) dx dy.
-
-    Re(s) > 3.  Scaled by c^(-s) to c = max(v, w) = 1, h = min(v, w)/c, the
-    inner integral at A = alpha+h*y is the 1-D closed form less its A^(1-s)
-    term, which cancels the first Hurwitz term: A^(2-s)/((s-1)(s-2)) +
-    G(s, A), G(sigma, A) = -zeta_H(sigma-1, A+1)/(sigma-1).  The first part
-    holds the boundary layer at y = 0 and integrates to I_1(alpha; h, s-2)
-    /((s-1)(s-2)), removably singular at s = 3.  G is analytic for A > -1
-    and obeys the rules of A^(-sigma): Gauss cells on [0, N), cut into
-    pieces over which its phase turns by at most 2 radians, then the
-    sawtooth mean and Bernoulli corrections at A_N = alpha+h*N, N set by
-    QUAD_TAIL_TOL/2 on the first omitted one; over QUAD_MAX_CELLS pieces
-    raise AccuracyError.  The bar adds the first part's, QUAD_TAIL_TOL/2,
-    the difference against the half-order rule, and the jet floor.
+def _sawtooth_2d(alpha, h, s, extra_c, extra_a):
+    """The smooth part of the 2-D sawtooth integral scaled to c = 1
+    (``frac_part_integral_2d``), and the Hurwitz jets of the extra points
+    zeta_H(extra_c[i], extra_a[i]), all from one ``_hurwitz_jet`` call per
+    _CHUNK points.  The jets follow s, real or complex.  Returns the
+    extra points' jets (3, len(extra_c)), the pieces' Gauss sums at the full
+    and at the half-order rule, and the kept tail terms.
     """
-    s = complex(s)
-    if not (alpha > 0 and v > 0 and w > 0):
-        raise ValueError("alpha, v, w must be positive")
-    if s.real <= 3:
-        raise DomainError("frac_part_integral_2d requires Re(s) > 3")
-    c = max(v, w)
-    alpha, h = alpha / c, min(v, w) / c
-    first, first_err = frac_part_integral_1d(alpha, h, s - 2.0, with_error=True)
-    scale = 1.0 / ((s - 1.0) * (s - 2.0))
     # exponent and coefficient of each tail term; the last is the first omitted
     sig = s + np.array([-1.0, *range(0, 2 * _TAIL_TERMS + 1, 2)])
     coef = np.array([0.5 / (h * (s - 1.0))] + [
@@ -341,16 +331,49 @@ def frac_part_integral_2d(alpha, v, w, s, with_error: bool = False):
     frac = (np.concatenate([np.arange(m) for m in pieces])[:, None]
             + np.concatenate([_XC, _XH])) * width
     # G on every node of every piece, then at the cut for each kept tail
-    # term, in chunks of 8192 points that bound the memory of the jets
+    # term, after the extra points
     y = np.append(np.repeat(np.arange(n_cells), pieces)[:, None] + frac,
                   [n_cells] * (len(sig) - 1))
     sig_y = np.append(np.full(frac.size, s), sig[:-1])
-    g = np.concatenate([
-        _hurwitz_jet(sig_y[i:i + 8192] - 1.0, alpha + h * y[i:i + 8192] + 1.0,
-                     1)[1] for i in range(0, y.size, 8192)]) / (1.0 - sig_y)
+    centers = np.concatenate([extra_c, sig_y - 1.0])
+    args = np.concatenate([extra_a, alpha + h * y + 1.0])
+    jets = [_hurwitz_jet(centers[i:i + _CHUNK], args[i:i + _CHUNK], 1)
+            for i in range(0, centers.size, _CHUNK)]
+    g = np.concatenate([jet[1] for jet in jets])[len(extra_c):] / (1.0 - sig_y)
     terms = width * frac * g[:frac.size].reshape(frac.shape)
     full, half = terms[:, :len(_XC)] @ _WC, terms[:, len(_XC):] @ _WH
-    tails = coef[:-1] * g[frac.size:]
+    return jets[0][:, :len(extra_c)], full, half, coef[:-1] * g[frac.size:]
+
+
+def frac_part_integral_2d(alpha, v, w, s, with_error: bool = False):
+    """integral_0^inf integral_0^inf (x-[x])(y-[y]) (alpha+v*y+w*x)^(-s) dx dy.
+
+    Re(s) > 3.  Scaled by c^(-s) to c = max(v, w) = 1, h = min(v, w)/c, the
+    inner integral at A = alpha+h*y is the 1-D closed form less its A^(1-s)
+    term, which cancels the first Hurwitz term: A^(2-s)/((s-1)(s-2)) +
+    G(s, A), G(sigma, A) = -zeta_H(sigma-1, A+1)/(sigma-1).  The first part
+    holds the boundary layer at y = 0 and integrates to I_1(alpha; h, s-2)
+    /((s-1)(s-2)), removably singular at s = 3.  G is analytic for A > -1
+    and obeys the rules of A^(-sigma): Gauss cells on [0, N), cut into
+    pieces over which its phase turns by at most 2 radians, then the
+    sawtooth mean and Bernoulli corrections at A_N = alpha+h*N, N set by
+    QUAD_TAIL_TOL/2 on the first omitted one; over QUAD_MAX_CELLS pieces
+    raise AccuracyError.  ``_sawtooth_2d`` reads G and the first part's
+    zeta_H in one Hurwitz call per 8192 points.  The bar adds the first
+    part's, QUAD_TAIL_TOL/2, the difference against the half-order rule,
+    and the jet floor.
+    """
+    s = complex(s)
+    if not (alpha > 0 and v > 0 and w > 0):
+        raise ValueError("alpha, v, w must be positive")
+    if s.real <= 3:
+        raise DomainError("frac_part_integral_2d requires Re(s) > 3")
+    c = max(v, w)
+    alpha, h = alpha / c, min(v, w) / c
+    s1 = s - 2.0  # the first part is I_1 at s1, from zeta_H(s1-1, alpha/h)
+    jets, full, half, tails = _sawtooth_2d(alpha, h, s, [s1 - 1.0], [alpha / h])
+    first, first_err = _frac_1d(alpha, h, s1, jets[:, 0])
+    scale = 1.0 / ((s - 1.0) * (s - 2.0))
     value = c ** -s * complex(first * scale + full.sum() + tails.sum())
     err = c ** -s.real * (
         abs(first_err * scale) + 0.5 * QUAD_TAIL_TOL + abs(full - half).sum()

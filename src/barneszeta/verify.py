@@ -48,8 +48,15 @@ DEFAULT_SEED = 20250823
 
 # Default tolerances by check flavor.
 TOL_EXACT = 1e-10       # exact closed forms: residues, reduction
-TOL_CROSS = 1e-6        # jet vs quadrature/finite-difference routes
+TOL_CROSS = 1e-6        # jet vs finite-difference routes (theorem 2)
 TOL_LIMIT = 1e-5        # extrapolated finite-M limit formulas
+TOL_INTEGRAL = 5e-12    # integral form of g_0(2) vs the jet
+
+# Check ids, built once so that every report holds the same strings.
+_LIMIT_IDS = {suffix: tuple(f"gamma{k}_limit_formula{suffix}" for k in range(5))
+              for suffix in ("", "_s1")}
+_DERIV_IDS = tuple(f"deriv_k{k:+d}" for k in range(-1, 4))  # k = -1..3
+_ALTSUM_IDS = tuple(f"altsum_k{k}" for k in range(4))
 
 
 @dataclass(frozen=True)
@@ -169,7 +176,7 @@ def verify_theorem1(p: BarnesParams, k_max: int = 2,
     if not 0 <= k_max <= 4:
         raise ValueError("k_max must be in 0..4")
     tol_limit = TOL_LIMIT if tol is None else tol
-    tol_int = TOL_CROSS if tol is None else tol
+    tol_int = TOL_INTEGRAL if tol is None else tol
     checks = []
     try:
         exp = laurent_at_2(p, k_max)
@@ -204,7 +211,7 @@ def verify_theorem1_s1(p: BarnesParams,
 
 def _limit_checks(limit, p, gammas, suffix, tol):
     """The jet's g_0..g_k against limit(p, k); a limit that raises fails all."""
-    cids = [f"gamma{k}_limit_formula{suffix}" for k in range(len(gammas))]
+    cids = _LIMIT_IDS[suffix][:len(gammas)]
     try:
         limits = limit(p, len(gammas) - 1)
     except Exception as exc:  # noqa: BLE001 - recorded, not raised
@@ -248,7 +255,7 @@ def verify_theorem2_derivative(p: BarnesParams, k_max: int = 3,
         dcoef = _alpha_slope(p, 0.0, k_max + 1)  # index k+1 at order k
         for k in range(-1, k_max + 1):
             lhs = exp.gamma_minus1 if k == -1 else exp.gammas[k]
-            checks.append(_make_check(f"deriv_k{k:+d}", lhs, -dcoef[k + 2], tol))
+            checks.append(_make_check(_DERIV_IDS[k + 1], lhs, -dcoef[k + 2], tol))
     except Exception as exc:  # noqa: BLE001
         checks.append(_failed_check("deriv_suite", exc, tol))
     return VerificationReport("theorem2_derivative", checks, _params_dict(p))
@@ -266,7 +273,7 @@ def verify_theorem2_altsum(p: BarnesParams, k_max: int = 3,
         exp2 = laurent_at_2(p, k_max)
         for k in range(k_max + 1):
             acc = sum((-1) ** (k - l + 1) * d1[l + 1] for l in range(-1, k + 1))
-            checks.append(_make_check(f"altsum_k{k}", acc, exp2.gammas[k], tol))
+            checks.append(_make_check(_ALTSUM_IDS[k], acc, exp2.gammas[k], tol))
     except Exception as exc:  # noqa: BLE001
         checks.append(_failed_check("altsum_suite", exc, tol))
     return VerificationReport("theorem2_altsum", checks, _params_dict(p))

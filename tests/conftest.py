@@ -9,7 +9,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from barneszeta import BarnesParams
+from barneszeta import (BarnesParams, frac_part_integral_1d,
+                        frac_part_integral_2d, hurwitz_zeta)
 
 # Classical constants (frozen from independent high-precision sources).
 EULER = 0.5772156649015329
@@ -179,6 +180,22 @@ def sawtooth_2d_mpmath(alpha, p, q, t, s):
                  - mpmath.mpf(v) / w * sawtooth_1d_mpmath(alpha, v, r))
         zeta2 = zeta2_commensurate_mpmath(r, alpha, p, q, t)
         return complex((zeta2 - other) / (v * w * r * (r + 1)))
+
+
+def zeta2_integral_rep_by_terms(s, p):
+    """The seven-term integral representation of zeta_2, Re s > 1, summed
+    term by term from the public evaluators: two hurwitz_zeta calls, two
+    frac_part_integral_1d calls and frac_part_integral_2d.  The oracle for
+    zeta2_integral_rep, which cancels the 2-D boundary layer against one
+    1-D term and reads every Hurwitz value from one call."""
+    a, v, w, s = p.alpha, p.v, p.w, complex(s)
+    return (-a ** -s
+            + v ** -s * hurwitz_zeta(s, a / v)
+            + w ** -s * hurwitz_zeta(s, a / w)
+            - (w / v) * frac_part_integral_1d(a, w, s)
+            - (v / w) * frac_part_integral_1d(a, v, s)
+            + v * w * s * (s + 1.0) * frac_part_integral_2d(a, v, w, s + 2.0)
+            + a ** (2.0 - s) / (v * w * (s - 1.0) * (s - 2.0)))
 
 
 def brute_frac_2d(alpha, v, w, s, t_max, h):

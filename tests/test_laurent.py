@@ -21,7 +21,7 @@ from barneszeta import (
     stieltjes_constants,
     zeta2,
 )
-from barneszeta import barnes, laurent
+from barneszeta import barnes, hurwitz, laurent, numerics
 from barneszeta.barnes import _row_sum_jet
 from barneszeta.hurwitz import _hurwitz_jet
 from barneszeta.laurent import _lattice_jet
@@ -153,6 +153,21 @@ class TestGamma0At2Integral:
         for p in fixed_suite:
             exp = laurent_at_2(p, 0)
             assert abs(gamma0_at_2_integral(p) - exp.gammas[0]) < 1e-6
+
+    def test_one_hurwitz_call(self, monkeypatch):
+        # zeta_H(s, alpha/v), zeta_H(s, alpha/w), the 1-D closed form's
+        # zeta_H(s-1, alpha/max(v, w)) and the 2-D nodes in one call; the
+        # two hurwitz_zeta and four sawtooth calls made six
+        count = []
+
+        def counted(c, a, n):
+            count.append(np.broadcast(np.asarray(c), np.asarray(a)).size)
+            return _hurwitz_jet(c, a, n)
+
+        for mod in (numerics, hurwitz, barnes, laurent):
+            monkeypatch.setattr(mod, "_hurwitz_jet", counted)
+        gamma0_at_2_integral(BarnesParams(2.5, 0.5, 2.5))
+        assert len(count) == 1, count
 
     def test_scaling_identity(self):
         # homogeneity: g_0(2) of (la, lv, lw) = (g_0(2) - log l/(vw)) / l^2

@@ -18,7 +18,8 @@ from barneszeta import (
     richardson_extrapolate,
 )
 from barneszeta.config import DIRECT_M, EM_ORDER, HURWITZ_J, HURWITZ_M
-from barneszeta.errors import DomainError
+from barneszeta import numerics
+from barneszeta.errors import AccuracyError, DomainError
 from barneszeta.hurwitz import _hurwitz_jet, hurwitz_zeta
 from barneszeta.numerics import (
     _B,
@@ -315,6 +316,26 @@ class TestFracPart2D:
                 frac_part_integral_2d(1.0, 1.0, 1.0, s)
         with pytest.raises(ValueError):
             frac_part_integral_2d(0.0, 1.0, 1.0, 4.0)
+
+    def test_refusals(self):
+        # the cell budget is checked before any Hurwitz work; below it, the
+        # Hurwitz jets refuse where their capped head length falls short
+        with pytest.raises(AccuracyError, match="cell budget"):
+            frac_part_integral_2d(1.0, 1.0, 1.0, 3.5 + 1e6j)
+        with pytest.raises(AccuracyError, match="Euler-Maclaurin"):
+            frac_part_integral_2d(1.0, 1.0, 1.0, 3.5 + 300j)
+
+    def test_one_hurwitz_call(self, monkeypatch):
+        # the boundary layer's zeta_H and the nodes share one call
+        count = []
+
+        def counted(c, a, n):
+            count.append(np.size(c))
+            return _hurwitz_jet(c, a, n)
+
+        monkeypatch.setattr(numerics, "_hurwitz_jet", counted)
+        frac_part_integral_2d(1.0, 2.0, 3.0, 5.0)
+        assert len(count) == 1, count
 
     def test_swap_symmetric(self):
         for alpha, v, w, s in [(0.1, 4.9, 0.1, 4.0), (0.7, 1.3, 2.1, 3.5 + 20j)]:

@@ -21,7 +21,7 @@ from barneszeta import (
     zeta2_s_derivatives_at_0,
 )
 from barneszeta.numerics import central_difference
-from barneszeta.verify import _make_check, _bound_check
+from barneszeta.verify import TOL_INTEGRAL, _bound_check, _make_check
 
 from conftest import EULER
 
@@ -120,6 +120,34 @@ class TestTheorem1:
                                            0.11289069276886864,
                                            4.560995172522605), k_max=4)
         assert rep.passed, [c for c in rep.checks if not c.passed]
+
+    def test_integral_form_tolerance(self):
+        # worst min(abs, rel) error seen 2.1e-13 over four 1,000-triple sweeps
+        # of (0.1, 5]^3, 5.2e-13 at another seed; tol= still overrides
+        p = BarnesParams(0.7, 1.3, 2.1)
+        for tol, want in ((None, TOL_INTEGRAL), (1e-3, 1e-3)):
+            rep = verify_theorem1(p, k_max=0, tol=tol)
+            check = next(c for c in rep.checks if c.id == "gamma0_integral_rep")
+            assert check.tol == want and check.passed
+
+    def test_check_ids_shared_between_reports(self):
+        # the ids are module constants: reports hold one copy, same order
+        p = BarnesParams(1, 1, 1)
+        for suite, ids in (
+                (lambda: verify_theorem1(p, k_max=2),
+                 ["gamma0_integral_rep", "gamma0_limit_formula",
+                  "gamma1_limit_formula", "gamma2_limit_formula", "residue_s2"]),
+                (lambda: verify_theorem1_s1(p),
+                 ["gamma0_limit_formula_s1", "gamma1_limit_formula_s1",
+                  "residue_s1"]),
+                (lambda: verify_theorem2_derivative(p),
+                 ["deriv_k+0", "deriv_k+1", "deriv_k+2", "deriv_k+3",
+                  "deriv_k-1"]),
+                (lambda: verify_theorem2_altsum(p),
+                 ["altsum_k0", "altsum_k1", "altsum_k2", "altsum_k3"])):
+            a, b = suite(), suite()
+            assert [c.id for c in a.checks] == ids
+            assert all(x.id is y.id for x, y in zip(a.checks, b.checks))
 
     def test_lopsided_integral_form(self):
         # boundary layers of width alpha/max(v, w) = 1/49 and 1/50; the
