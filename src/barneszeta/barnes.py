@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DIRECT_M, EM_ORDER
+from .config import DIRECT_M, EM_ORDER, HURWITZ_J
 from .errors import AccuracyError, DomainError, PoleError
 from .numerics import (
     _center,
@@ -20,6 +20,7 @@ from .numerics import (
     _hurwitz_jet,
     _jet_mul,
     _jet_pow,
+    _rising,
     _sawtooth_2d,
     _sum_in_order,
 )
@@ -101,7 +102,10 @@ def _row_sum_jet(c, alpha, v, w, n: int):
     power 1) with h = v/w.  One Hurwitz jet call covers the heads, zeroed
     beyond each element's own and summed in row order, and the cut shifts
     zeta_H(s+k, a_R), k = -1, 0, 1, 3, ..., 2 EM_ORDER+1, so a batch is
-    bitwise equal to scalar calls.
+    bitwise equal to scalar calls.  One rising-factorial table (``_rising``)
+    serves both levels: it is built on the Hurwitz call's centers c + k,
+    and its shift-0 row, (c)_1..(c)_{2 HURWITZ_J+1}, holds the
+    (c)_1..(c)_{2 EM_ORDER+1} of the outer tail, with the same bits.
     """
     c, alpha = _center(c), np.asarray(alpha, dtype=float)
     size = np.maximum(_head_length(c, alpha / w, v / w, EM_ORDER, 1, DIRECT_M), 1)
@@ -109,9 +113,12 @@ def _row_sum_jet(c, alpha, v, w, n: int):
     m = np.arange(size.max(initial=0)).reshape(row_axis)
     shifts = np.array([0] * len(m) + [-1, 0, *range(1, 2 * EM_ORDER + 2, 2)])
     rows = np.minimum(np.arange(len(shifts)).reshape(row_axis), size)  # R repeats
-    zh = _hurwitz_jet(c + shifts.reshape(row_axis), (alpha + v * rows) / w, n)
+    centers = c + shifts.reshape(row_axis)
+    poch = _rising(centers, n + 2, HURWITZ_J)
+    zh = _hurwitz_jet(centers, (alpha + v * rows) / w, n, poch)
     head = _sum_in_order(np.where(m < size, zh[:, :len(m)], 0.0))
-    return _em_tail(c, v / w, head, zh[:, len(m):])
+    assert EM_ORDER <= HURWITZ_J  # the outer rows are a prefix of the table
+    return _em_tail(c, v / w, head, zh[:, len(m):], poch[:, :EM_ORDER + 1, 0])
 
 
 def _zeta2_jet(c, p: BarnesParams, n: int):

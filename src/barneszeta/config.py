@@ -2,7 +2,9 @@
 
 DIRECT_M         cap on the rows summed directly before the outer
                  Euler-Maclaurin tail; the count is chosen from (s, alpha/w)
-EM_ORDER         number of even-index Bernoulli correction terms (outer)
+EM_ORDER         number of even-index Bernoulli correction terms (outer);
+                 at most HURWITZ_J, since the outer tail reads its
+                 rising factorials from the Hurwitz level's table
 HURWITZ_M        cap on the head length of the Hurwitz zeta Euler-Maclaurin
                  sum; the length is chosen from (s, a)
 HURWITZ_J        Bernoulli correction terms inside the Hurwitz evaluator

@@ -75,8 +75,9 @@ def bernoulli_numbers(n_max: int) -> list[float]:
     return [float(b) for b in bs]
 
 
-# The package's one Bernoulli table, B_0..B_64.
+# The package's one Bernoulli table, B_0..B_64, and B_k/k! beside it.
 _B = bernoulli_numbers(_BERNOULLI_MAX)
+_B_FACT = [b / math.factorial(k) for k, b in enumerate(_B)]
 
 
 # A jet about the center c holds a truncated Laurent series in eps = s - c
@@ -91,7 +92,10 @@ _B = bernoulli_numbers(_BERNOULLI_MAX)
 # about a complex one.  x^-c alone stays a complex power whose real part is
 # taken, because numpy's float64 power rounds differently in its SIMD,
 # strided and 0-d loops, which would leave a batch unequal to its scalar
-# calls.
+# calls.  The Euler-Maclaurin tails multiply G by the rising-factorial
+# jets (s)_{2j-1}; ``_rising`` fills one table of them in place, and a
+# row sum builds it once on the Hurwitz centers c + k and hands its
+# shift-0 row to the outer tail, so both levels share it.
 # Rounding floor of a jet coefficient, relative to max(1, |coefficient|):
 # 16x the worst error seen against mpmath at orders -1..12.
 _JET_REL_ERR = 2.0 ** -36
@@ -175,8 +179,8 @@ def _head_length(c, a, h, j_len: int, power: int, cap: int):
     e = c.real + 2 * j_len - power
     pos = e > 0
     e_pos = np.where(pos, e, 1.0)
-    log_k = (math.log(2.0 ** 53 * abs(_B[2 * j_len + 2])
-                      / math.factorial(2 * j_len + 2) * h ** (2 * j_len + 1))
+    log_k = (math.log(2.0 ** 53 * abs(_B_FACT[2 * j_len + 2])
+                      * h ** (2 * j_len + 1))
              + np.log(np.abs(c[..., None] + np.arange(2 * j_len + 1)) + 1.0)
              .sum(axis=-1) + np.log1p(power / e_pos))
     log_cut = np.where(pos, np.maximum(0.0, log_k / np.minimum(2 * j_len, e_pos)),
@@ -188,33 +192,46 @@ def _head_length(c, a, h, j_len: int, power: int, cap: int):
     return n.astype(int)
 
 
-def _em_tail(c, h, head, cut):
+def _rising(c, n2: int, j_len: int):
+    """Jets of (s)_{2j-1} about s = c, j = 1..J+1, shape (n2, J+1, *C) for
+    C the shape of c (an array of the jet's dtype, ``_center``).
+
+    One (2J+2, n2, *C) table holds (s)_0, ..., (s)_{2J+1}, filled in place
+    by two ufunc calls a step: (s)_{i+1} = (s)_i (c + i + eps), where eps
+    moves every slot up by one.  The odd rows are returned as a view.
+    """
+    table = np.zeros((2 * j_len + 2, n2) + c.shape, dtype=c.dtype)
+    table[0, 1] = 1.0
+    steps = c + np.arange(2 * j_len + 1).reshape((-1,) + (1,) * c.ndim)
+    rows, upper, lower = list(table), list(table[:, 2:]), list(table[:, 1:-1])
+    for i, step in enumerate(steps):
+        np.multiply(rows[i], step, out=rows[i + 1])
+        np.add(upper[i + 1], lower[i], out=upper[i + 1])
+    return table[1::2].swapaxes(0, 1)
+
+
+def _em_tail(c, h, head, cut, poch):
     """sum_{m>=0} G(s, A+h*m) by Euler-Maclaurin on jets about s = c.
 
     G obeys the rules of A^(-s): d/dA G(s) = -s G(s+1), integral_A^inf
     G(s) = G(s-1, A)/(s-1).  ``head`` (n+2, *E) is the jet of the terms
     before the cut A_M; ``cut`` (n+2, J+3, *E) holds G(s+k, A_M) for k = -1,
-    0, 1, 3, .., 2J+1; c broadcasts against E.  Returns head + G(s-1)/(h(s-1))
-    + G(s)/2 + sum_{j<=J} B_2j/(2j)! h^(2j-1) (s)_{2j-1} G(s+2j-1), the sum
-    in the order of j; a zero of (s)_{2j-1} meets a pole of G in one jet
-    product.  Raises AccuracyError where the first omitted term, j = J+1,
-    is NaN or exceeds the rounding floor in a slot below the top.
+    0, 1, 3, .., 2J+1; ``poch`` (n+2, J+1, *C) holds (s)_{2j-1}, j = 1..J+1
+    (``_rising``), with C of E's rank; c broadcasts against E.  The
+    Hurwitz level builds poch, and the row sum hands the outer level the
+    first J+1 rows of the Hurwitz level's table at shift 0.  Returns head
+    + G(s-1)/(h(s-1)) + G(s)/2 + sum_{j<=J} B_2j/(2j)! h^(2j-1) (s)_{2j-1}
+    G(s+2j-1), the sum in the order of j; a zero of (s)_{2j-1} meets a
+    pole of G in one jet product.  Raises AccuracyError where the first
+    omitted term, j = J+1, is NaN or exceeds the rounding floor in a slot
+    below the top.
     """
-    c = _center(c)
-    c = c.reshape((1,) * (head.ndim - 1 - c.ndim) + c.shape)  # rank of E
     n2, j_len = cut.shape[0], cut.shape[1] - 3
     out = head + _jet_mul(cut[:, 0], _jet_recip(c, n2 - 2)) / h + 0.5 * cut[:, 1]
-    rising = [np.zeros((n2,) + c.shape, dtype=c.dtype)]  # (s)_0, (s)_1, ...
-    rising[0][1] = 1.0
-    for i in range(2 * j_len + 1):
-        # (s)_{i+1} = (s)_i (c + i + eps); eps moves every slot up by one
-        nxt = rising[-1] * (c + i)
-        nxt[2:] += rising[-1][1:-1]
-        rising.append(nxt)
-    coefs = np.array([_B[2 * j] / math.factorial(2 * j) * h ** (2 * j - 1)
+    coefs = np.array([_B_FACT[2 * j] * h ** (2 * j - 1)
                       for j in range(1, j_len + 2)])
-    poch = np.stack(rising[1::2], axis=1)  # (s)_{2j-1}, j = 1..J+1
-    terms = coefs.reshape((-1,) + (1,) * c.ndim) * _jet_mul(poch, cut[:, 2:])
+    terms = (coefs.reshape((-1,) + (1,) * (head.ndim - 1))
+             * _jet_mul(poch, cut[:, 2:]))
     out = out + _sum_in_order(terms[:, :-1])
     omitted = np.abs(terms[:-1, -1])  # the top slot is not read
     if not np.all(omitted <= _JET_REL_ERR * np.maximum(1.0, np.abs(out[:-1]))):
@@ -225,7 +242,7 @@ def _em_tail(c, h, head, cut):
     return out
 
 
-def _hurwitz_jet(c, a, n: int):
+def _hurwitz_jet(c, a, n: int, poch=None):
     """Jet of zeta_H(s, a) about s = c, slots eps^-1..eps^n, shape (n+2, *E)
     for E the broadcast shape of c and a.
 
@@ -236,9 +253,11 @@ def _hurwitz_jet(c, a, n: int):
     Head terms are built only for the elements with N > 0 (on a lattice of
     rows, the few nearest the origin), summed in order up to the largest N
     and zeroed beyond each element's own, so a batch is bitwise equal to
-    scalar calls.  Raises AccuracyError where the first omitted correction
-    at N = HURWITZ_M exceeds the jet's rounding floor, which happens for
-    |Im c| beyond about 150-200.
+    scalar calls.  ``poch`` is ``_rising``(c, n+2, HURWITZ_J) with c of
+    E's rank, built here unless the caller hands it over to share it.
+    Raises AccuracyError where the first omitted correction at N =
+    HURWITZ_M exceeds the jet's rounding floor, which happens for |Im c|
+    beyond about 150-200.
     """
     c = _center(c)
     a = np.asarray(a, dtype=float)
@@ -253,7 +272,10 @@ def _hurwitz_jet(c, a, n: int):
     base = a + size
     k = np.array([-1, 0, *range(1, 2 * HURWITZ_J + 2, 2)])
     cut = base ** -k.reshape((-1,) + (1,) * base.ndim) * _jet_pow(base, c, n)[:, None]
-    return _em_tail(c, 1.0, head, cut)
+    if poch is None:
+        poch = _rising(c.reshape((1,) * (size.ndim - c.ndim) + c.shape),
+                       n + 2, HURWITZ_J)
+    return _em_tail(c, 1.0, head, cut, poch)
 
 
 def _frac_1d(a, c, s, zh):
@@ -315,7 +337,7 @@ def _sawtooth_2d(alpha, h, s, extra_c, extra_a):
     # exponent and coefficient of each tail term; the last is the first omitted
     sig = s + np.array([-1.0, *range(0, 2 * _TAIL_TERMS + 1, 2)])
     coef = np.array([0.5 / (h * (s - 1.0))] + [
-        -_B[2 * j] / math.factorial(2 * j) * h ** (2 * j - 2)
+        -_B_FACT[2 * j] * h ** (2 * j - 2)
         * math.prod(s + i for i in range(2 * j - 2))  # (s)_{2j-2}
         for j in range(1, _TAIL_TERMS + 2)])
     q = s.real + 2 * _TAIL_TERMS - 2  # |G| <= A^-q/(q (q+1)) at sig[-1]

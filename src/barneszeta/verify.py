@@ -114,7 +114,8 @@ class VerificationReport:
     suite: str
     checks: list
     params: dict = field(default_factory=dict)
-    config: dict = field(default_factory=lambda: copy.deepcopy(SNAPSHOT))
+    # every report holds the one SNAPSHOT; to_dict hands out a copy
+    config: dict = field(default_factory=lambda: SNAPSHOT)
 
     def __post_init__(self):
         self.checks = sorted(self.checks, key=lambda c: c.id)
@@ -127,7 +128,7 @@ class VerificationReport:
         return {
             "suite": self.suite,
             "params": self.params,
-            "config": self.config,
+            "config": copy.deepcopy(self.config),
             "checks": [c.to_dict() for c in self.checks],
             "pass": self.passed,
         }

@@ -19,11 +19,11 @@ from barneszeta import (
     zeta2_integral_rep,
     zeta2_s_derivatives_at_0,
 )
-from barneszeta import numerics
+from barneszeta import barnes, numerics
 from barneszeta.barnes import _row_sum_jet, _zeta2_jet
-from barneszeta.config import DIRECT_M, EM_ORDER
+from barneszeta.config import DIRECT_M, EM_ORDER, HURWITZ_J
 from barneszeta.errors import AccuracyError, DomainError, PoleError
-from barneszeta.numerics import _head_length, _hurwitz_jet
+from barneszeta.numerics import _head_length, _hurwitz_jet, _rising
 
 from conftest import (ZETA2, ZETA3, ZETA4, ZETA_PRIME_M1, brute_zeta2,
                       zeta2_commensurate_mpmath, zeta2_integral_rep_by_terms,
@@ -179,6 +179,40 @@ class TestZeta2:
                 assert np.array_equal(vi, _row_sum_jet(c, ai, v, w, 4))
         assert min(counts) == 1 and max(counts) == DIRECT_M
 
+    def test_row_sum_batch_at_rising_zeros(self):
+        # at c = 0 and c = -3 a zero of (s)_{2j-1} meets a pole of
+        # G(s+2j-1) in one jet product, at both levels; batches over alpha
+        # and over c must still equal scalar calls bit for bit
+        v, w = 1.3, 2.1
+        alphas = np.array([0.01, 0.7, 3.0, 30.0, 2.1 * 65])
+        for c in (0.0, -3.0):
+            vec = _row_sum_jet(c, alphas, v, w, 4)
+            for ai, vi in zip(alphas, vec.T):
+                assert vi.tobytes() == _row_sum_jet(c, ai, v, w, 4).tobytes()
+        cs = np.array([0.0, -3.0, -1.0, 0.5, 2.5])
+        vec = _row_sum_jet(cs, 0.7, v, w, 4)
+        for ci, vi in zip(cs, vec.T):
+            assert vi.tobytes() == _row_sum_jet(ci, 0.7, v, w, 4).tobytes()
+
+    def test_one_rising_table(self, monkeypatch):
+        # the Hurwitz level builds the table on its centers c + k, and the
+        # outer level reads its shift-0 row: one build per row sum
+        count = []
+
+        def counted(c, n2, j_len):
+            count.append(j_len)
+            return _rising(c, n2, j_len)
+
+        monkeypatch.setattr(numerics, "_rising", counted)
+        monkeypatch.setattr(barnes, "_rising", counted)
+        for c in (0.5, -3.0, 2.3 + 25j, np.array([0.0, 2.0, 0.5 + 30j])):
+            count.clear()
+            _row_sum_jet(c, 0.7, 1.3, 2.1, 4)
+            assert count == [HURWITZ_J], (c, count)
+        count.clear()
+        zeta2(np.array([0.5 + 2j, 3.0 + 0j]), BarnesParams(0.7, 1.3, 2.1))
+        assert count == [HURWITZ_J]
+
     def test_near_zero(self):
         # a fixed 64-row head leaves 1.7e-10 relative here; worst seen 1.9e-13
         ref = zeta2_commensurate_mpmath(0.001, 0.7, 1, 2, 1.0)
@@ -276,9 +310,9 @@ class TestIntegralRep:
         ref = zeta2_integral_rep_by_terms(s, p)
         sizes = []
 
-        def counted(c, a, n):
+        def counted(c, a, n, poch=None):
             sizes.append(np.size(c))
-            return _hurwitz_jet(c, a, n)
+            return _hurwitz_jet(c, a, n, poch)
 
         monkeypatch.setattr(numerics, "_hurwitz_jet", counted)
         val = zeta2_integral_rep(s, p)

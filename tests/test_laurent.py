@@ -160,9 +160,9 @@ class TestGamma0At2Integral:
         # two hurwitz_zeta and four sawtooth calls made six
         count = []
 
-        def counted(c, a, n):
+        def counted(c, a, n, poch=None):
             count.append(np.broadcast(np.asarray(c), np.asarray(a)).size)
-            return _hurwitz_jet(c, a, n)
+            return _hurwitz_jet(c, a, n, poch)
 
         for mod in (numerics, hurwitz, barnes, laurent):
             monkeypatch.setattr(mod, "_hurwitz_jet", counted)
@@ -293,9 +293,9 @@ class TestLatticeLogSums:
         # tail row by row took 12,232 with M up to 1024
         count = []
 
-        def counted(c, a, n):
+        def counted(c, a, n, poch=None):
             count.append(np.broadcast(np.asarray(c), np.asarray(a)).size)
-            return _hurwitz_jet(c, a, n)
+            return _hurwitz_jet(c, a, n, poch)
 
         monkeypatch.setattr(barnes, "_hurwitz_jet", counted)
         monkeypatch.setattr(laurent, "_hurwitz_jet", counted)

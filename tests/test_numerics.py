@@ -28,6 +28,7 @@ from barneszeta.numerics import (
     _jet_mul,
     _jet_pow,
     _remainder_basis,
+    _rising,
     _sum_in_order,
     central_difference,
 )
@@ -257,6 +258,42 @@ class TestSumInOrder:
             assert out.tobytes() == loop.tobytes()
 
 
+def _rising_by_steps(c, n2, j_len):
+    """The reference for ``_rising``: (s)_{2j-1}, j = 1..J+1, by the
+    step-by-step recurrence with a new jet per step, then stacked."""
+    rising = [np.zeros((n2,) + c.shape, dtype=c.dtype)]  # (s)_0, (s)_1, ...
+    rising[0][1] = 1.0
+    for i in range(2 * j_len + 1):
+        nxt = rising[-1] * (c + i)
+        nxt[2:] += rising[-1][1:-1]
+        rising.append(nxt)
+    return np.stack(rising[1::2], axis=1)
+
+
+class TestRising:
+    def test_matches_steps_bitwise(self):
+        # the zeros of (s)_k at c = 0, -1, -3 and the signs of the zero
+        # slots must come out as the loop makes them
+        centers = [np.asarray(c) for c in (0.0, -1.0, -3.0, 1.0, 2.0,
+                                            -8.5 + 10j, 2.3 + 50j)]
+        centers.append(np.array([[-3.0], [0.0], [0.5], [2.0], [7.25]]))
+        for c in centers:
+            for n2 in (3, 7, 14):
+                for j_len in (10, 12):
+                    got = _rising(c, n2, j_len)
+                    assert got.shape == (n2, j_len + 1) + c.shape
+                    want = _rising_by_steps(c, n2, j_len)
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (c, n2, j_len)
+
+    def test_shorter_table_is_a_prefix(self):
+        # the row sum's outer level reads EM_ORDER+1 rows of the Hurwitz
+        # level's HURWITZ_J+1
+        for c in (np.asarray(0.5), np.asarray(-2.0 + 3j)):
+            long, short = _rising(c, 7, HURWITZ_J), _rising(c, 7, EM_ORDER)
+            assert long[:, :EM_ORDER + 1].tobytes() == short.tobytes()
+
+
 class TestFracPart1D:
     def test_one_minus_euler(self):
         # int_0^inf (x-[x])/(1+x)^2 dx = 1 - Euler
@@ -329,9 +366,9 @@ class TestFracPart2D:
         # the boundary layer's zeta_H and the nodes share one call
         count = []
 
-        def counted(c, a, n):
+        def counted(c, a, n, poch=None):
             count.append(np.size(c))
-            return _hurwitz_jet(c, a, n)
+            return _hurwitz_jet(c, a, n, poch)
 
         monkeypatch.setattr(numerics, "_hurwitz_jet", counted)
         frac_part_integral_2d(1.0, 2.0, 3.0, 5.0)

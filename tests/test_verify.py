@@ -1,6 +1,7 @@
 """Certification suites: check/report plumbing and the identity suites
 themselves on known parameter sets."""
 
+import copy
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from barneszeta import (
     verify_theorem2_derivative,
     zeta2_s_derivatives_at_0,
 )
+from barneszeta.config import SNAPSHOT
 from barneszeta.numerics import central_difference
 from barneszeta.verify import TOL_INTEGRAL, _bound_check, _make_check
 
@@ -81,6 +83,24 @@ class TestReport:
         assert back.suite == rep.suite
         assert back.checks == rep.checks
         assert back.passed
+
+    def test_config_shared(self):
+        # every report holds the one SNAPSHOT, and its JSON is the one a
+        # private copy gives
+        a, b = VerificationReport("a", []), VerificationReport("b", [])
+        assert a.config is b.config is SNAPSHOT
+        own = VerificationReport("a", [], config=copy.deepcopy(SNAPSHOT))
+        assert a.to_json() == own.to_json()
+        assert a.to_dict() == own.to_dict()
+
+    def test_to_dict_config_is_a_copy(self):
+        # editing a serialised report must not reach SNAPSHOT
+        before = copy.deepcopy(SNAPSHOT)
+        d = VerificationReport("a", []).to_dict()
+        d["config"]["quad"]["cell_order"] = -1
+        d["config"]["em_order"] = -1
+        assert SNAPSHOT == before
+        assert VerificationReport("b", []).to_dict()["config"] == before
 
     def test_csv_header_and_rows(self):
         rows = list(self._report().csv_rows())
