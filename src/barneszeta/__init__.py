@@ -19,7 +19,6 @@ from .barnes import (
 from .errors import (
     AccuracyError,
     BarnesZetaError,
-    ConsistencyError,
     DomainError,
     PoleError,
 )

@@ -28,7 +28,3 @@ class AccuracyError(BarnesZetaError, ArithmeticError):
         self.value = value
         self.achieved = achieved
         super().__init__(message)
-
-
-class ConsistencyError(BarnesZetaError, ArithmeticError):
-    """Two independent methods disagree beyond their combined error bars."""

@@ -1,11 +1,11 @@
 """Laurent coefficients of the Barnes double zeta-function at s = 2 and
 s = 1, from the Euler-Maclaurin jet, by finite-M limit formulas at either
 pole, and by the closed integral representation of the constant term at
-s = 2.  The limit formulas sum the lattice as Hurwitz row heads minus
-strips of outer row sums, one Hurwitz call over max(M)+1 rows for every
-order, add the closed-form jet of the integral outside the square with its
-Euler-Maclaurin edge and corner terms, and extrapolate in M by an exact fit
-on log^a(M)/M^b, b >= c+1.
+s = 2.  The limit formulas sum the lattice square [0, M]^2, M = 362, as
+Hurwitz row heads minus strips of outer row sums, one Hurwitz call over
+M+1 rows for every order, and add what the square leaves out: three
+shifted double zetas, each from its large-A asymptotic series.  No fit or
+extrapolation in M is left.
 
 Coefficients are raw Laurent coefficients:
 
@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barnes import BarnesParams, _integral_rep_regular, _row_sum_jet, _zeta2_jet
-from .errors import ConsistencyError
+from .errors import AccuracyError
 from .hurwitz import _hurwitz_jet
-from .numerics import (_JET_REL_ERR, _fit_limit, _jet_mul, _jet_pow, _jet_recip,
-                       _remainder_basis)
+from .numerics import _B_FACT, _JET_REL_ERR, _jet_mul, _jet_pow, _jet_recip
 
 __all__ = [
     "LaurentExpansion",
@@ -118,6 +117,8 @@ def gamma0_at_2_integral(p: BarnesParams) -> float:
 def _lattice_jet(p: BarnesParams, center: int, k_max: int, ms):
     """Jet about s = center, slots eps^-1..eps^k_max, of sum_{m,n<=M} A^-s,
     one element per M in ms: slot k is (-1)^k/k! sum log^k(A)/A^center.
+    Returns it with the jet of its rounding scale, w^-s times the summed
+    magnitudes of the heads and strips it is the difference of.
 
     Rows over n are exact Hurwitz differences, sum_{n<=M} A^-s = w^-s
     [zeta_H(s, a_m) - zeta_H(s, a_m+M+1)], a_m = (alpha+m v)/w.  The heads
@@ -136,109 +137,83 @@ def _lattice_jet(p: BarnesParams, center: int, k_max: int, ms):
     starts = alpha + (ms + 1) * np.array([[w], [v + w]])
     outer = _row_sum_jet(center, starts, v, w, n + 1)[:-1]
     rows = heads - (outer[:, 0] - outer[:, 1])
-    rows[0] = 0.0
-    return _jet_mul(_jet_pow(w, center, n), rows)[:k_max + 2]
+    scale = np.abs(heads) + np.abs(outer).sum(axis=1)
+    rows[0] = scale[0] = 0.0
+    power = _jet_pow(w, center, n)
+    return (_jet_mul(power, rows)[:k_max + 2],
+            _jet_mul(np.abs(power), scale)[:k_max + 2])
 
 
-def _counterterm_jet(p: BarnesParams, center: int, ms, n: int):
-    """Jet about s = center, slots eps^-1..eps^n, of what the square
-    [0, M]^2 leaves out of zeta_2, one element per M, to second
-    Euler-Maclaurin order.
-
-    With A_v = alpha+vM, A_w = alpha+wM and A_2 = alpha+(v+w)M it is the
-    integral outside the square,
-        (A_v^(2-s) + A_w^(2-s) - A_2^(2-s)) / (vw(s-1)(s-2)),
-    plus the edge terms, half the near-edge integrals beyond M minus half
-    the far-edge integrals,
-        [A_v^(1-s)/v + A_w^(1-s)/w - (A_w^(1-s) - A_2^(1-s))/v
-         - (A_v^(1-s) - A_2^(1-s))/w] / (2(s-1)),
-    plus the corner terms, with q = (v/w + w/v)/12,
-        (q - 1/4)(A_v^(-s) + A_w^(-s)) - (q + 1/4) A_2^(-s):
-    the -g/2 and -B_2/2 g' terms of the 1-D Euler-Maclaurin formula along
-    each axis, whose line integrals of a derivative reduce to corner values
-    since d/dx f = (v/w) d/dy f.  Each term is meromorphic in s, so they
-    hold about either pole; the lattice jet being entire, the pole slot is
-    the residue.  Added to the lattice jet, slot k leaves
-    O(log^k(M)/M^(center+1)).  The factors of the pole terms are taken one
-    order higher, since a pole shifts the slots down.
+def _far_series(p: BarnesParams, center: int, starts, signs, n: int):
+    """Jet about s = center, slots eps^-1..eps^n, of sum_j signs[j]
+    zeta_2(s, starts[j]; v, w) from the large-A series of its Mellin form
+    (Barnes 1901; Matsumoto 1998), k = 0..64 over the Bernoulli table:
+        zeta_2(s, A; v, w) ~ sum_k C_k Gamma(s+k-2)/Gamma(s) A^(2-s-k),
+        C_k = (-1)^k sum_{i+j=k} B_i B_j v^(i-1) w^(j-1)/(i! j!).
+    C_k A^(2-k) is A^2/(vw) (h/A)^k times one convolution of B_i/i!
+    (-v/h)^i with B_j/j! (-w/h)^j, h = max(v, w), finite where C_k alone
+    would overflow.  The Gamma ratio is 1/((s-1)(s-2)), 1/(s-1), 1, then
+    (s)_{k-2}.  A term's size is its largest slot eps^0..eps^n, summed in
+    |.| over j.  The asymptotic series is cut before its smallest pair of
+    adjacent sizes (an even C_k vanishes at some v/w), and that pair is its
+    truncation error.  Returns the cut series, the truncation error and
+    the kept terms' summed |jets|, its rounding scale.
     """
-    alpha, v, w = p.alpha, p.v, p.w
-    a = alpha + np.array([v, w, v + w])[:, None] * np.array(ms, dtype=float)
-    # x^(2-s), x^(1-s) and x^-s are _jet_pow at center-2, center-1 and
-    # center; 1/(s-2) and 1/(s-1) are _jet_recip at center-1 and center
-    square = np.array([1.0, 1.0, -1.0]) / (v * w)
-    edges = np.array([1 / v - 1 / w, 1 / w - 1 / v, 1 / v + 1 / w]) / 2
-    q = (v / w + w / v) / 12
-    corners = np.array([q - 0.25, q - 0.25, -q - 0.25])
-    outside = np.einsum("j,kjm->km", square, _jet_pow(a, center - 2, n + 1))
-    edge = np.einsum("j,kjm->km", edges, _jet_pow(a, center - 1, n + 1))
-    jet = _jet_mul(_jet_mul(outside, _jet_recip(center - 1, n + 1)) + edge,
-                   _jet_recip(center, n + 1))
-    return jet[:n + 2] + np.einsum("j,kjm->km", corners, _jet_pow(a, center, n))
-
-
-def _extrapolate(ms, ys, log_powers, b0: int, scale):
-    """Limits of the rows of samples ys at ms, row k with a remainder that
-    is a series in log^a(M)/M^b, b >= b0, a = log_powers[k]..0: the exact
-    fit of the n samples on the first n-1 of these functions, all rows in
-    one solve (``_fit_limit``).  err is three times the largest move of the
-    limit when the last sample, the last two or the first is left out, each
-    with as many functions fewer; the last two catch a remainder that is
-    not yet in its asymptotic regime, as on lopsided weights.  To it adds
-    the rounding floor 2^-52 scale[k] sum_i |w_i|: the limit is sum_i w_i
-    y_i, the weights from one fit of the identity, and scale[k] bounds the
-    size of the terms that each sample of row k is the sum of.  Returns
-    (value, err) per row.
-    """
-    n = len(ms)
-    funcs = np.array([_remainder_basis(ms, q, b0) for q in log_powers])
-    value = _fit_limit(ys, funcs)
-    moves = [np.abs(value - _fit_limit(ys[:, lo:hi], funcs[:, :hi - lo - 1, lo:hi]))
-             for lo, hi in ((0, n - 1), (0, n - 2), (1, n))]
-    rows = len(funcs)
-    weights = _fit_limit(np.broadcast_to(np.eye(n), (rows, n, n)),
-                         np.broadcast_to(funcs[:, None], (rows, n, n - 1, n)))
-    floor = 2.0 ** -52 * scale * np.abs(weights).sum(axis=1)
-    return [(float(v), 3.0 * float(max(mv)) + float(f))
-            for v, f, *mv in zip(value, floor, *moves)]
-
-
-# the limit formulas' M: 16*2^(j/2) rounded, j = 0..9, up to 362
-_M_LIST = tuple(round(16 * 2 ** (j / 2)) for j in range(10))
+    v, w, h = p.v, p.w, max(p.v, p.w)
+    a = np.asarray(starts, dtype=float)
+    b = np.array(_B_FACT)
+    k = np.arange(len(b))
+    ratio = np.zeros((n + 3, len(b)))
+    ratio[:, 0] = _jet_mul(_jet_recip(center - 1, n + 1), _jet_recip(center, n + 1))
+    ratio[:, 1] = _jet_recip(center, n + 1)
+    # (s)_m = prod_{i<m} (c+i) (1 + eps/(c+i)): slot j is the prefix
+    # product times e_j(m) = sum_{i<m} e_{j-1}(i)/(c+i), e_0 = 1
+    steps = center + np.arange(len(b) - 3.0)
+    rising = ratio[1:, 2:]
+    rising[0] = 1.0
+    for j in range(1, n + 2):
+        np.cumsum(rising[j - 1, :-1] / steps, out=rising[j, 1:])
+    rising *= np.cumprod(np.append(1.0, steps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = (np.convolve(b * (-v / h) ** k, b * (-w / h) ** k)[:len(b)]
+                * (h / a[:, None]) ** k * np.multiply(signs, a * a)[:, None] / (v * w))
+        terms = _jet_mul(ratio[..., None],
+                         coef.T * _jet_pow(a, center, n + 1)[:, None])[:n + 2]
+        mags = np.abs(terms).sum(axis=2)
+        pairs = np.nan_to_num(mags[1:].max(axis=0), nan=np.inf)
+        pairs = pairs[:-1] + pairs[1:]
+    cut = int(np.argmin(pairs))
+    return terms[:, :cut].sum(axis=(1, 2)), pairs[cut], mags[:, :cut].sum(axis=1)
 
 
 def _limit_formula(p: BarnesParams, center: int, k_max: int):
     """Finite-M limit-formula values of g_0..g_k_max about s = c = center.
 
-    g_k(c) = lim_M slot k of [ sum_{m,n<=M} A^(-s) + counterterm(M) ],
-    A = alpha+m*v+n*w: ``_lattice_jet`` plus ``_counterterm_jet`` at every
-    M of _M_LIST.  Once the divergence guard has passed every k, the
-    samples are extrapolated on log^a(M)/M^b, a = k+c-1..0, b >= c+1, every
-    k in one batch (``_extrapolate``); at c = 1 the extra log power of
-    c = 2 moved g_0(1) by up to 2.4e-6 against 9.4e-10 without it.  The
-    rounding floor of err takes as scale the largest lattice slot plus the
-    largest counterterm slot over M, since each sample is their sum.
-    alpha+(v+w)*max(M) must stay below 1e15: beyond it the log powers
+    g_k(c) is slot k of sum_{m,n<=M} A^(-s), A = alpha+m*v+n*w, plus what
+    the square leaves out, by inclusion-exclusion exactly zeta_2(s,
+    alpha+v(M+1)) + zeta_2(s, alpha+w(M+1)) - zeta_2(s, alpha+(v+w)(M+1)):
+    ``_lattice_jet`` plus ``_far_series`` at M = 362, with no fit.  err is
+    the series' truncation error plus 2^-50 times the summed magnitudes
+    of both.  Raises AccuracyError where the truncation error exceeds the
+    jet's floor _JET_REL_ERR max(1, |g_k|), as w/v is too far from 1, and
+    ValueError where alpha+(v+w)*362 >= 1e15: beyond it the log powers
     cancel badly.  Returns a tuple of (value, err), one per k.
     """
     if not 0 <= k_max <= 4:
         raise ValueError("k_max must be in 0..4")
-    if p.alpha + (p.v + p.w) * _M_LIST[-1] >= 1e15:
-        raise ValueError(f"alpha + (v+w)*{_M_LIST[-1]} must be below 1e15")
-
-    lattice = _lattice_jet(p, center, k_max, _M_LIST)[1:]
-    counter = _counterterm_jet(p, center, _M_LIST, k_max)[1:]
-    ys = lattice + counter
-    for k, y in enumerate(ys):
-        d1, d2 = abs(y[-1] - y[-2]), abs(y[-2] - y[-3])
-        if d1 > 10.0 * d2 and d1 > 1e-6:
-            raise ConsistencyError(
-                f"finite-M samples of g_{k} diverge non-monotonically; "
-                f"last corrections {d2:.3g} -> {d1:.3g}")
-    ms = np.array(_M_LIST, dtype=float)
-    scale = np.abs(lattice).max(axis=1) + np.abs(counter).max(axis=1)
-    return tuple(_extrapolate(ms, ys, np.arange(k_max + 1) + center - 1,
-                              center + 1, scale))
+    m = 362
+    if p.alpha + (p.v + p.w) * m >= 1e15:
+        raise ValueError(f"alpha + (v+w)*{m} must be below 1e15")
+    lattice, scale = _lattice_jet(p, center, k_max, [m])
+    starts = p.alpha + (m + 1) * np.array([p.v, p.w, p.v + p.w])
+    far, trunc, far_scale = _far_series(p, center, starts, [1, 1, -1], k_max)
+    g = lattice[1:, 0] + far[1:]
+    if not trunc <= _JET_REL_ERR * np.min(np.maximum(1.0, np.abs(g))):
+        raise AccuracyError(f"limit formula at M = {m}: the series outside the "
+                            f"square is off by up to {trunc:.3g}, as w/v is too "
+                            "far from 1", value=g, achieved=float(trunc))
+    err = trunc + 2.0 ** -50 * (scale[1:, 0] + far_scale[1:])
+    return tuple(zip(map(float, g), map(float, err)))
 
 
 def gammak_at_2_limit(p: BarnesParams, k_max: int):

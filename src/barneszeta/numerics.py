@@ -2,8 +2,8 @@
 
 Bernoulli numbers, jets in s, the Euler-Maclaurin sum and the Hurwitz jet,
 the sawtooth integrals (1-D in closed form, 2-D by Gauss cells), sequence
-extrapolation by an exact fit, and circle-contour extraction of
-Taylor/Laurent coefficients.
+extrapolation by an exact fit (``richardson_extrapolate``, its one user),
+and circle-contour extraction of Taylor/Laurent coefficients.
 """
 
 from __future__ import annotations

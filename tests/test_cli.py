@@ -190,17 +190,33 @@ class TestLaurent:
                 <= rec["est_errors"][0] + 1e-9)
 
     def test_limit_refusal_is_accuracy_error(self, capsys):
-        # the g_3(1) samples jump at the last M on this triple, and the
-        # limit formula refuses rather than extrapolate them
-        code, rec, err = run_cli(capsys, ["laurent", "--pole", "1",
-                                          "--method", "limit",
-                                          "--alpha", "4.3168651153400965",
-                                          "--v", "1.2724408747204459",
-                                          "--w", "0.31892580300684575",
-                                          "--kmax", "4"])
-        assert code == 3
-        assert rec is None
-        assert "diverge" in err
+        # w/v = 500: the series outside the square at M = 362 stops
+        # shrinking far above the jet's floor, and the limit formula
+        # refuses rather than return it, at either pole
+        for pole in ("1", "2"):
+            code, rec, err = run_cli(capsys, ["laurent", "--pole", pole,
+                                              "--method", "limit",
+                                              "--alpha", "1", "--v", "0.01",
+                                              "--w", "5"])
+            assert code == 3
+            assert rec is None
+            assert "series outside the square" in err
+
+    def test_former_refusal_now_within_err(self, capsys):
+        # the fitted route refused g_3(1) on this triple; now every k <= 4
+        # is within its err plus the jet's bar
+        p = BarnesParams(4.3168651153400965, 1.2724408747204459,
+                         0.31892580300684575)
+        code, rec, _ = run_cli(capsys, ["laurent", "--pole", "1",
+                                        "--method", "limit",
+                                        "--alpha", repr(p.alpha),
+                                        "--v", repr(p.v), "--w", repr(p.w),
+                                        "--kmax", "4"])
+        assert code == 0
+        jet = laurent_at_1(p, 4)
+        for g, e, j, b in zip(rec["gammas"], rec["est_errors"], jet.gammas,
+                              jet.errs):
+            assert abs(g - j) <= e + b
 
 
 class TestSpecial:

@@ -192,9 +192,9 @@ class TestGammakAt2Limit:
         (5.0, 5.0, 5.0), (1.569, 2.171, 0.239), (3.5667, 0.10588, 2.5665)])
     def test_err_bounds_error(self, triple):
         # the fixed five, the certify anchor, both lopsided triples, large
-        # alpha, and two triples whose g_4(1) samples jumped at M = 1024
-        # under the first-order counterterm: the reported err plus the
-        # jet's bar covers the gap, about either pole
+        # alpha, and two triples whose g_4(1) samples once jumped at M =
+        # 1024: the reported err plus the jet's bar covers the gap, about
+        # either pole
         p = BarnesParams(*triple)
         for center, jet, limit in ((2, laurent_at_2, gammak_at_2_limit),
                                    (1, laurent_at_1, gammak_at_1_limit)):
@@ -203,25 +203,34 @@ class TestGammakAt2Limit:
                 gap = abs(val - exp.gammas[k])
                 assert gap <= err + exp.errs[k], (center, k, gap, err)
 
-    def test_unaccelerated_path(self):
-        # with the edge and corner terms in the counterterm, the raw eps^0
-        # sample at M = 362, before any extrapolation, is already within
-        # 1e-8 of Euler's constant (4.4e-10; first order alone left 2.1e-6)
-        p = BarnesParams(1, 1, 1)
-        ms = (256, 362)
-        jet = _lattice_jet(p, 2, 0, ms) + laurent._counterterm_jet(p, 2, ms, 0)
-        assert abs(jet[1, -1] - EULER) < 1e-8
-
     def test_counterterm_jet_pole_is_residue(self):
-        # the lattice jet is entire, so the pole is the counterterm's alone
+        # the lattice jet is entire, so the pole is that of the three far
+        # quadrants' series alone: the residue, whatever M
         p = BarnesParams(0.7, 1.3, 2.1)
-        jet = laurent._counterterm_jet(p, 2, [16, 1024], 3)
-        assert jet.shape == (5, 2)
-        assert np.allclose(jet[0], residue_at_2(p), rtol=1e-15, atol=0)
-        jet = laurent._counterterm_jet(p, 1, [16, 1024], 3)
-        assert jet.shape == (5, 2)
-        assert np.all(np.abs(jet[0] - residue_at_1(p))
-                      <= 1e-12 * (1 / p.v + 1 / p.w))
+        for m in (16, 362):
+            starts = p.alpha + (m + 1) * np.array([p.v, p.w, p.v + p.w])
+            jet = laurent._far_series(p, 2, starts, [1, 1, -1], 3)[0]
+            assert jet.shape == (5,)
+            assert abs(jet[0] - residue_at_2(p)) <= 1e-15 * residue_at_2(p)
+            jet = laurent._far_series(p, 1, starts, [1, 1, -1], 3)[0]
+            assert abs(jet[0] - residue_at_1(p)) <= 1e-12 * (1 / p.v + 1 / p.w)
+
+    @pytest.mark.parametrize("triple", [(0.7, 1.3, 2.1), (0.1, 4.9, 0.1),
+                                        (3.5667, 0.10588, 2.5665)])
+    def test_far_series_matches_jet(self, triple):
+        # one far quadrant, zeta_2(s, alpha+363v; v, w), from its large-A
+        # series against the Euler-Maclaurin jet, slots eps^-1..eps^4,
+        # about either pole
+        p = BarnesParams(*triple)
+        start = p.alpha + 363 * p.v
+        for center in (1, 2):
+            series, trunc, _ = laurent._far_series(p, center, [start], [1], 4)
+            # the jet's top slot is not exact next to a pole: one more
+            jet = barnes._zeta2_jet(float(center), BarnesParams(start, p.v, p.w),
+                                    5)[:6]
+            assert trunc < 1e-18
+            assert np.all(np.abs(series - jet) <= 1e-13 * np.abs(jet)), \
+                (center, np.abs(series / jet - 1))
 
     def test_validation(self):
         p = BarnesParams(1, 1, 1)
@@ -232,7 +241,7 @@ class TestGammakAt2Limit:
             gammak_at_2_limit(BarnesParams(1, 2e12, 2e12), 0)
 
     def test_orders_beyond_four_rejected(self):
-        # the extrapolation and its err are only checked up to k = 4
+        # the values and their err are only checked up to k = 4
         with pytest.raises(ValueError):
             gammak_at_2_limit(BarnesParams(1, 1, 1), 5)
 
@@ -244,8 +253,8 @@ class TestLatticeLogSums:
         p = BarnesParams(*triple)
         ms = (16, 64, 1024, 4096)
         # slot k of the jet about s = c is S_k (-1)^k/k!
-        jet2 = _lattice_jet(p, 2, 2, ms)
-        jet1 = _lattice_jet(p, 1, 0, ms)
+        jet2 = _lattice_jet(p, 2, 2, ms)[0]
+        jet1 = _lattice_jet(p, 1, 0, ms)[0]
         for i, m in enumerate(ms):
             for k in range(3):
                 ref = brute_lattice_log_sums(p, k, m, 2)
@@ -260,9 +269,9 @@ class TestLatticeLogSums:
         # the outer step is v/w <= 1 whichever way (v, w) is given
         p = BarnesParams(*triple)
         for center in (1, 2):
-            assert np.array_equal(_lattice_jet(p, center, 2, (16, 4096)),
-                                  _lattice_jet(p.swapped(), center, 2,
-                                               (16, 4096)))
+            for a, b in zip(_lattice_jet(p, center, 2, (16, 4096)),
+                            _lattice_jet(p.swapped(), center, 2, (16, 4096))):
+                assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("triple", [(0.7, 1.3, 2.1), (2.5, 0.5, 2.5),
                                         (5.0, 5.0, 5.0), (0.1, 0.1, 0.1),
@@ -288,9 +297,9 @@ class TestLatticeLogSums:
                 assert np.all(err <= 1e-15 * scale[1:5]), (m, err / scale[1:5])
 
     def test_hurwitz_work_of_default_limit(self, monkeypatch):
-        # one call for the heads over max(M)+1 = 363 rows and one for the
-        # 20 outer starts of 14 rows each: 643 jets.  Summing each M's
-        # tail row by row took 12,232 with M up to 1024
+        # one call for the heads over M+1 = 363 rows and one for the 2
+        # outer starts of 14 rows each: 391 jets.  The ten extrapolated M
+        # took 643, and summing each M's tail row by row 12,232
         count = []
 
         def counted(c, a, n, poch=None):
@@ -300,5 +309,5 @@ class TestLatticeLogSums:
         monkeypatch.setattr(barnes, "_hurwitz_jet", counted)
         monkeypatch.setattr(laurent, "_hurwitz_jet", counted)
         gammak_at_2_limit(BarnesParams(0.7, 1.3, 2.1), 2)
-        assert sum(count) <= 643, sum(count)
+        assert sum(count) <= 391, sum(count)
         assert len(count) == 2, count

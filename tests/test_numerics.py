@@ -221,8 +221,7 @@ class TestFitLimit:
         assert abs(_fit_limit(ys, _remainder_basis(ms, 0, 1)) - 5.0) < 1e-12
 
     def test_batch_matches_rows(self):
-        # leading batch axes: each row of samples with its own basis, as
-        # the limit formula extrapolates every order at once
+        # leading batch axes: each row of samples with its own basis
         ms = np.round(16 * 2 ** (np.arange(9) / 2))
         ys = np.array([1.0 + np.log(ms) / ms, 2.0 - 1 / ms ** 2,
                        np.cos(ms) / ms ** 3])

@@ -134,8 +134,9 @@ class TestTheorem1:
             verify_theorem1(BarnesParams(1, 1, 1), k_max=5)
 
     def test_lopsided_limit_formula_to_k4(self):
-        # w/v = 40: the limit route at k = 4 was 1.04e-5 relative off, over
-        # TOL_LIMIT; the second-order counterterm brings it to about 1e-7
+        # w/v = 40: the fitted route was 1.04e-5 relative off at k = 4 under
+        # a first-order counterterm; the far quadrants' series at M = 362
+        # bring it to about 1e-13, well inside TOL_LIMIT
         rep = verify_theorem1(BarnesParams(3.1075792861307994,
                                            0.11289069276886864,
                                            4.560995172522605), k_max=4)
