@@ -1,10 +1,9 @@
 """Laurent coefficients of the Barnes double zeta-function at s = 2 and
 s = 1, from the Euler-Maclaurin jet, by finite-M limit formulas at either
 pole, and by the closed integral representation of the constant term at
-s = 2.  The limit formulas sum the lattice square [0, M]^2, M = 362, as
-Hurwitz row heads minus strips of outer row sums, one Hurwitz call over
-M+1 rows for every order, and add what the square leaves out: three
-shifted double zetas, each from its large-A asymptotic series.  No fit or
+s = 2.  The limit formulas sum M+1 = 363 Hurwitz rows of the lattice, one
+Hurwitz call for every order, and add the far quadrant beyond them, one
+shifted double zeta, from its large-A asymptotic series.  No fit or
 extrapolation in M is left.
 
 Coefficients are raw Laurent coefficients:
@@ -19,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barnes import BarnesParams, _integral_rep_regular, _row_sum_jet, _zeta2_jet
+from .barnes import BarnesParams, _integral_rep_regular, _zeta2_jet
 from .errors import AccuracyError
 from .hurwitz import _hurwitz_jet
-from .numerics import _B_FACT, _JET_REL_ERR, _jet_mul, _jet_pow, _jet_recip
+from .numerics import (_B_FACT, _JET_REL_ERR, _jet_mul, _jet_pow, _jet_recip,
+                       _sum_in_order)
 
 __all__ = [
     "LaurentExpansion",
@@ -114,53 +114,23 @@ def gamma0_at_2_integral(p: BarnesParams) -> float:
                  - (1.0 + math.log(p.alpha)) / (p.v * p.w))
 
 
-def _lattice_jet(p: BarnesParams, center: int, k_max: int, ms):
-    """Jet about s = center, slots eps^-1..eps^k_max, of sum_{m,n<=M} A^-s,
-    one element per M in ms: slot k is (-1)^k/k! sum log^k(A)/A^center.
-    Returns it with the jet of its rounding scale, w^-s times the summed
-    magnitudes of the heads and strips it is the difference of.
-
-    Rows over n are exact Hurwitz differences, sum_{n<=M} A^-s = w^-s
-    [zeta_H(s, a_m) - zeta_H(s, a_m+M+1)], a_m = (alpha+m v)/w.  The heads
-    are one prefix sum over the max(M)+1 jets of one Hurwitz call.  Each
-    M's strip of tails is T(alpha+(M+1)w) - T(alpha+(M+1)(v+w)), T the
-    outer row sum (``_row_sum_jet``), all from one call; v <= w keeps its
-    step v/w <= 1.  Jets with a pole (T, and the heads at s = 1) take one
-    order more.  The pole slot of head minus strip cancels and is set to 0:
-    the jet is entire.
-    """
-    alpha, v, w = p.alpha, min(p.v, p.w), max(p.v, p.w)
-    n = k_max + (center == 1)
-    ms = np.array(ms)
-    a = (alpha + v * np.arange(ms.max() + 1)) / w
-    heads = np.cumsum(_hurwitz_jet(center, a, n), axis=1)[:, ms]
-    starts = alpha + (ms + 1) * np.array([[w], [v + w]])
-    outer = _row_sum_jet(center, starts, v, w, n + 1)[:-1]
-    rows = heads - (outer[:, 0] - outer[:, 1])
-    scale = np.abs(heads) + np.abs(outer).sum(axis=1)
-    rows[0] = scale[0] = 0.0
-    power = _jet_pow(w, center, n)
-    return (_jet_mul(power, rows)[:k_max + 2],
-            _jet_mul(np.abs(power), scale)[:k_max + 2])
-
-
-def _far_series(p: BarnesParams, center: int, starts, signs, n: int):
-    """Jet about s = center, slots eps^-1..eps^n, of sum_j signs[j]
-    zeta_2(s, starts[j]; v, w) from the large-A series of its Mellin form
-    (Barnes 1901; Matsumoto 1998), k = 0..64 over the Bernoulli table:
+def _far_series(p: BarnesParams, center: int, start: float, n: int):
+    """Jet about s = center, slots eps^-1..eps^n, of zeta_2(s, start; v, w)
+    from the large-A series of its Mellin form (Barnes 1901; Matsumoto
+    1998), k = 0..64 over the Bernoulli table:
         zeta_2(s, A; v, w) ~ sum_k C_k Gamma(s+k-2)/Gamma(s) A^(2-s-k),
         C_k = (-1)^k sum_{i+j=k} B_i B_j v^(i-1) w^(j-1)/(i! j!).
-    C_k A^(2-k) is A^2/(vw) (h/A)^k times one convolution of B_i/i!
-    (-v/h)^i with B_j/j! (-w/h)^j, h = max(v, w), finite where C_k alone
-    would overflow.  The Gamma ratio is 1/((s-1)(s-2)), 1/(s-1), 1, then
-    (s)_{k-2}.  A term's size is its largest slot eps^0..eps^n, summed in
-    |.| over j.  The asymptotic series is cut before its smallest pair of
-    adjacent sizes (an even C_k vanishes at some v/w), and that pair is its
-    truncation error.  Returns the cut series, the truncation error and
-    the kept terms' summed |jets|, its rounding scale.
+    C_k A^(2-k) is A^2/(vw) (hi/A)^k times one convolution of B_i/i!
+    (-lo/hi)^i with B_j/j! (-1)^j, lo, hi = min, max(v, w), finite where C_k
+    alone would overflow; the order of v and w does not change its bits.
+    The Gamma ratio is 1/((s-1)(s-2)), 1/(s-1), 1, then (s)_{k-2}.  A
+    term's size is its largest slot eps^0..eps^n.  The asymptotic series
+    is cut before its smallest pair of adjacent sizes (an even C_k
+    vanishes at some v/w), and that pair is its truncation error.  Returns
+    the cut series, the truncation error and the kept terms' summed |jets|,
+    its rounding scale.
     """
-    v, w, h = p.v, p.w, max(p.v, p.w)
-    a = np.asarray(starts, dtype=float)
+    lo, hi = min(p.v, p.w), max(p.v, p.w)
     b = np.array(_B_FACT)
     k = np.arange(len(b))
     ratio = np.zeros((n + 3, len(b)))
@@ -175,44 +145,51 @@ def _far_series(p: BarnesParams, center: int, starts, signs, n: int):
         np.cumsum(rising[j - 1, :-1] / steps, out=rising[j, 1:])
     rising *= np.cumprod(np.append(1.0, steps))
     with np.errstate(over="ignore", invalid="ignore"):
-        coef = (np.convolve(b * (-v / h) ** k, b * (-w / h) ** k)[:len(b)]
-                * (h / a[:, None]) ** k * np.multiply(signs, a * a)[:, None] / (v * w))
-        terms = _jet_mul(ratio[..., None],
-                         coef.T * _jet_pow(a, center, n + 1)[:, None])[:n + 2]
-        mags = np.abs(terms).sum(axis=2)
+        coef = (np.convolve(b * (-lo / hi) ** k, b * (-1.0) ** k)[:len(b)]
+                * (hi / start) ** k * start ** 2 / (lo * hi))
+        terms = _jet_mul(ratio, coef * _jet_pow(start, center, n + 1)[:, None])[:n + 2]
+        mags = np.abs(terms)
         pairs = np.nan_to_num(mags[1:].max(axis=0), nan=np.inf)
         pairs = pairs[:-1] + pairs[1:]
     cut = int(np.argmin(pairs))
-    return terms[:, :cut].sum(axis=(1, 2)), pairs[cut], mags[:, :cut].sum(axis=1)
+    return terms[:, :cut].sum(axis=1), pairs[cut], mags[:, :cut].sum(axis=1)
 
 
 def _limit_formula(p: BarnesParams, center: int, k_max: int):
     """Finite-M limit-formula values of g_0..g_k_max about s = c = center.
 
-    g_k(c) is slot k of sum_{m,n<=M} A^(-s), A = alpha+m*v+n*w, plus what
-    the square leaves out, by inclusion-exclusion exactly zeta_2(s,
-    alpha+v(M+1)) + zeta_2(s, alpha+w(M+1)) - zeta_2(s, alpha+(v+w)(M+1)):
-    ``_lattice_jet`` plus ``_far_series`` at M = 362, with no fit.  err is
-    the series' truncation error plus 2^-50 times the summed magnitudes
-    of both.  Raises AccuracyError where the truncation error exceeds the
-    jet's floor _JET_REL_ERR max(1, |g_k|), as w/v is too far from 1, and
-    ValueError where alpha+(v+w)*362 >= 1e15: beyond it the log powers
-    cancel badly.  Returns a tuple of (value, err), one per k.
+    With lo, hi = min, max(v, w), the rows m <= M of the lattice sum over
+    n are Hurwitz zetas and the rows m > M a shifted double zeta, exactly:
+        zeta_2(s, alpha) = hi^(-s) sum_{m<=M} zeta_H(s, (alpha+m lo)/hi)
+                           + zeta_2(s, alpha+(M+1) lo).
+    At M = 362 the M+1 rows are one ``_hurwitz_jet`` call summed in row
+    order, and the shifted double zeta is ``_far_series``; g_k(c) is slot
+    k of their sum, with no fit.  err is the series' truncation error plus
+    2^-50 times the summed magnitudes of the rows (times |hi^(-s)|) and of
+    the series' terms.  Raises AccuracyError where the truncation error
+    exceeds the jet's floor _JET_REL_ERR max(1, |g_k|), as w/v is too far
+    from 1, and ValueError where alpha+(v+w)*362 >= 1e15: beyond it the
+    log powers cancel badly.  Returns a tuple of (value, err), one per k.
     """
     if not 0 <= k_max <= 4:
         raise ValueError("k_max must be in 0..4")
     m = 362
     if p.alpha + (p.v + p.w) * m >= 1e15:
         raise ValueError(f"alpha + (v+w)*{m} must be below 1e15")
-    lattice, scale = _lattice_jet(p, center, k_max, [m])
-    starts = p.alpha + (m + 1) * np.array([p.v, p.w, p.v + p.w])
-    far, trunc, far_scale = _far_series(p, center, starts, [1, 1, -1], k_max)
-    g = lattice[1:, 0] + far[1:]
+    lo, hi = min(p.v, p.w), max(p.v, p.w)
+    # a pole of the rows at s = 1 needs one order more of hi^(-s)
+    n = k_max + (center == 1)
+    rows = _hurwitz_jet(center, (p.alpha + lo * np.arange(m + 1)) / hi, n)
+    power = _jet_pow(hi, center, n)
+    heads = _jet_mul(power, _sum_in_order(rows))[1:k_max + 2]
+    scale = _jet_mul(np.abs(power), _sum_in_order(np.abs(rows)))[1:k_max + 2]
+    far, trunc, far_scale = _far_series(p, center, p.alpha + (m + 1) * lo, k_max)
+    g = heads + far[1:]
     if not trunc <= _JET_REL_ERR * np.min(np.maximum(1.0, np.abs(g))):
-        raise AccuracyError(f"limit formula at M = {m}: the series outside the "
-                            f"square is off by up to {trunc:.3g}, as w/v is too "
-                            "far from 1", value=g, achieved=float(trunc))
-    err = trunc + 2.0 ** -50 * (scale[1:, 0] + far_scale[1:])
+        raise AccuracyError(f"limit formula at M = {m}: the far-quadrant series "
+                            f"is off by up to {trunc:.3g}, as w/v is too far from 1",
+                            value=g, achieved=float(trunc))
+    err = trunc + 2.0 ** -50 * (scale + far_scale[1:])
     return tuple(zip(map(float, g), map(float, err)))
 
 

@@ -2,7 +2,7 @@
 
 Bernoulli numbers, jets in s, the Euler-Maclaurin sum and the Hurwitz jet,
 the sawtooth integrals (1-D in closed form, 2-D by Gauss cells), sequence
-extrapolation by an exact fit (``richardson_extrapolate``, its one user),
+extrapolation by an exact fit (``richardson_extrapolate``),
 and circle-contour extraction of Taylor/Laurent coefficients.
 """
 
@@ -403,32 +403,15 @@ def frac_part_integral_2d(alpha, v, w, s, with_error: bool = False):
     return (value, float(err)) if with_error else value
 
 
-def _remainder_basis(ms, log_power: int, b0: int):
-    """The first n-1 functions log^a(M)/M^b, b >= b0, a = log_power..0,
-    in that order, sampled at the n points ms: shape (n-1, n)."""
-    powers = [(a, b) for b in range(b0, b0 + len(ms))
-              for a in range(log_power, -1, -1)][:len(ms) - 1]
-    return np.array([np.log(ms) ** a / ms ** b for a, b in powers])
-
-
-def _fit_limit(ys, funcs):
-    """L of the exact fit y_i = L + sum_j c_j g_j(M_i), n samples ys
-    (..., n) on n-1 functions funcs (..., n-1, n), over any leading batch
-    axes: one linear solve, each column scaled to unit max first."""
-    ys = np.asarray(ys, dtype=float)
-    cols = np.concatenate([np.ones_like(ys)[..., None, :], funcs], axis=-2)
-    cols = cols / np.abs(cols).max(axis=-1, keepdims=True)
-    return np.linalg.solve(np.swapaxes(cols, -1, -2), ys[..., None])[..., 0, 0]
-
-
 def richardson_extrapolate(values, model: int):
     """Accelerate a sequence whose remainder decays like log^p(M)/M.
 
     ``values`` is a sequence of (M, y) samples at increasing (ideally
-    geometric) M; ``model`` is the log power p.  Fits the samples exactly
-    on the remainder basis log^p(M)/M, ..., 1/M, log^p(M)/M^2, ...
-    (``_fit_limit``).  Returns (limit, err) where err is how far the limit
-    moves when the first sample and the last function are left out.
+    geometric) M; ``model`` is the log power p.  Fits the n samples exactly
+    on 1 and the first n-1 remainder functions log^p(M)/M, ..., 1/M,
+    log^p(M)/M^2, ..., one linear solve with each column scaled to unit
+    max first.  Returns (limit, err) where err is how far the limit moves
+    when the first sample and the last function are left out.
     """
     if len(values) < 3:
         raise ValueError("need at least 3 samples")
@@ -441,9 +424,17 @@ def richardson_extrapolate(values, model: int):
     if np.all(ys == ys[0]):
         return float(ys[0]), 0.0
 
-    funcs = _remainder_basis(ms, model, 1)
-    limit = _fit_limit(ys, funcs)
-    return float(limit), float(abs(limit - _fit_limit(ys[1:], funcs[:-1, 1:])))
+    powers = [(a, b) for b in range(1, len(ms) + 1)
+              for a in range(model, -1, -1)][:len(ms) - 1]
+    cols = np.array([np.ones_like(ys)] + [np.log(ms) ** a / ms ** b
+                                          for a, b in powers])
+
+    def fit(cols, ys):
+        cols = cols / np.abs(cols).max(axis=-1, keepdims=True)
+        return np.linalg.solve(cols.T, ys[:, None])[0, 0]
+
+    limit = fit(cols, ys)
+    return float(limit), float(abs(limit - fit(cols[:-1, 1:], ys[1:])))
 
 
 def contour_coefficients(f, spec: ContourSpec, pole_order: int = 0):

@@ -49,7 +49,7 @@ DEFAULT_SEED = 20250823
 # Default tolerances by check flavor.
 TOL_EXACT = 1e-10       # exact closed forms: residues, reduction
 TOL_CROSS = 1e-6        # jet vs finite-difference routes (theorem 2)
-TOL_LIMIT = 1e-8        # finite-M limit formulas at M = 362
+TOL_LIMIT = 1e-9        # finite-M limit formulas at M = 362
 TOL_INTEGRAL = 5e-12    # integral form of g_0(2) vs the jet
 
 # Check ids, built once so that every report holds the same strings.

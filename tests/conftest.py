@@ -224,19 +224,6 @@ def brute_zeta2(s, p, m_max):
     return complex(total)
 
 
-def brute_lattice_log_sums(p, k, m_max, power):
-    """sum_{m,n<=M} log^k(A)/A^power over the square lattice, summed
-    point by point on a chunked grid (the oracle for the row differences)."""
-    n = np.arange(m_max + 1)
-    total = 0.0
-    chunk = max(1, 2_000_000 // (m_max + 1))
-    for lo in range(0, m_max + 1, chunk):
-        m = np.arange(lo, min(lo + chunk, m_max + 1))
-        grid = p.alpha + p.v * m[:, None] + p.w * n[None, :]
-        total += float(np.sum(np.log(grid) ** k / grid ** power))
-    return total
-
-
 @pytest.fixture(scope="session")
 def fixed_suite():
     return [

@@ -161,11 +161,11 @@ class TestZeta2:
             assert vi == zeta2(complex(si), p)
 
     def test_row_sum_vectorized_over_alpha(self):
-        # the lattice strips batch the outer row sum over its start alpha;
-        # row counts from 1 to DIRECT_M are zero-padded up to the longest.
-        # A scalar call sums its head rows on the innermost axis, where a
-        # pairwise sum would round differently from the batch.  Real
-        # centers run in float64, complex ones in complex128
+        # the theorem-2 alpha slope batches the outer row sum over its
+        # start alpha; row counts from 1 to DIRECT_M are zero-padded up to
+        # the longest.  A scalar call sums its head rows on the innermost
+        # axis, where a pairwise sum would round differently from the
+        # batch.  Real centers run in float64, complex ones in complex128
         v, w = 1.3, 2.1
         alphas = np.array([0.01, 0.7, 3.0, 30.0, 2.1 * 65, 3.4 * 4097, 1e4])
         counts = set()

@@ -190,9 +190,9 @@ class TestLaurent:
                 <= rec["est_errors"][0] + 1e-9)
 
     def test_limit_refusal_is_accuracy_error(self, capsys):
-        # w/v = 500: the series outside the square at M = 362 stops
-        # shrinking far above the jet's floor, and the limit formula
-        # refuses rather than return it, at either pole
+        # w/v = 500: the far-quadrant series at M = 362 stops shrinking
+        # far above the jet's floor, and the limit formula refuses rather
+        # than return it, at either pole
         for pole in ("1", "2"):
             code, rec, err = run_cli(capsys, ["laurent", "--pole", pole,
                                               "--method", "limit",
@@ -200,7 +200,7 @@ class TestLaurent:
                                               "--w", "5"])
             assert code == 3
             assert rec is None
-            assert "series outside the square" in err
+            assert "far-quadrant series is off by up to" in err
 
     def test_former_refusal_now_within_err(self, capsys):
         # the fitted route refused g_3(1) on this triple; now every k <= 4

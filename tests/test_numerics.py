@@ -23,11 +23,9 @@ from barneszeta.errors import AccuracyError, DomainError
 from barneszeta.hurwitz import _hurwitz_jet, hurwitz_zeta
 from barneszeta.numerics import (
     _B,
-    _fit_limit,
     _head_length,
     _jet_mul,
     _jet_pow,
-    _remainder_basis,
     _rising,
     _sum_in_order,
     central_difference,
@@ -216,30 +214,11 @@ class TestRichardson:
 
 class TestFitLimit:
     def test_exact_model(self):
+        # a sequence on the model's own basis: the fit is exact
         ms = np.array([2.0 ** k for k in range(4, 9)])
         ys = 5.0 + 2.0 / ms + 0.3 / ms ** 2
-        assert abs(_fit_limit(ys, _remainder_basis(ms, 0, 1)) - 5.0) < 1e-12
-
-    def test_batch_matches_rows(self):
-        # leading batch axes: each row of samples with its own basis
-        ms = np.round(16 * 2 ** (np.arange(9) / 2))
-        ys = np.array([1.0 + np.log(ms) / ms, 2.0 - 1 / ms ** 2,
-                       np.cos(ms) / ms ** 3])
-        funcs = np.array([_remainder_basis(ms, k, 2) for k in range(1, 4)])
-        for sl in (slice(None), slice(None, -2), slice(3, None)):
-            n = len(ms[sl])
-            val = _fit_limit(ys[:, sl], funcs[:, :n - 1, sl])
-            assert val.shape == (3,)
-            rows = [_fit_limit(ys[k, sl], funcs[k, :n - 1, sl]) for k in range(3)]
-            assert np.array_equal(val, rows)
-
-    def test_remainder_basis_shape_and_order(self):
-        ms = np.array([16.0, 23.0, 32.0, 45.0, 64.0])
-        basis = _remainder_basis(ms, 1, 2)
-        assert basis.shape == (4, 5)
-        log = np.log(ms)
-        expected = [log / ms ** 2, 1 / ms ** 2, log / ms ** 3, 1 / ms ** 3]
-        assert np.array_equal(basis, expected)
+        val, _ = richardson_extrapolate(list(zip(ms, ys)), model=0)
+        assert abs(val - 5.0) < 1e-12
 
 
 class TestSumInOrder:

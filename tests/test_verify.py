@@ -135,8 +135,8 @@ class TestTheorem1:
 
     def test_lopsided_limit_formula_to_k4(self):
         # w/v = 40: the fitted route was 1.04e-5 relative off at k = 4 under
-        # a first-order counterterm; the far quadrants' series at M = 362
-        # bring it to about 1e-13, well inside TOL_LIMIT
+        # a first-order counterterm; 363 Hurwitz rows and the far
+        # quadrant's series bring it to about 1e-14, well inside TOL_LIMIT
         rep = verify_theorem1(BarnesParams(3.1075792861307994,
                                            0.11289069276886864,
                                            4.560995172522605), k_max=4)
