@@ -23,7 +23,6 @@ from .errors import (
     PoleError,
 )
 from .hurwitz import (
-    StieltjesTable,
     hurwitz_zeta,
     riemann_zeta,
     stieltjes_constants,

@@ -38,15 +38,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BarnesParams:
-    """Parameter triple (alpha, v, w), all strictly positive."""
+    """Parameter triple (alpha, v, w), all finite and strictly positive."""
 
     alpha: float
     v: float
     w: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.v > 0 and self.w > 0):
-            raise ValueError("alpha, v, w must all be positive")
+        if not all(0 < x < math.inf for x in (self.alpha, self.v, self.w)):
+            raise ValueError("alpha, v, w must all be finite and positive")
 
     def swapped(self) -> "BarnesParams":
         return BarnesParams(self.alpha, self.w, self.v)

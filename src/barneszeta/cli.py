@@ -121,24 +121,16 @@ def _cmd_laurent(args) -> int:
     started = time.perf_counter()
     p = _params_from(args)
     exact = residue_at_2(p) if args.pole == 2 else residue_at_1(p)
-    if args.method == "limit":
-        limit = gammak_at_2_limit if args.pole == 2 else gammak_at_1_limit
-        values, errs = zip(*limit(p, args.kmax))
-        rec = _record(args, started,
-                      pole=args.pole, method="limit_formula",
-                      exact_residue=_num(exact),
-                      gammas=[_num(v) for v in values],
-                      est_errors=[_num(e) for e in errs])
-    else:
-        fn = laurent_at_2 if args.pole == 2 else laurent_at_1
-        exp = fn(p, args.kmax)
-        rec = _record(args, started,
-                      pole=args.pole, method=exp.method,
-                      gamma_minus1=_num(exp.gamma_minus1),
-                      exact_residue=_num(exact),
-                      err_minus1=_num(exp.err_minus1),
-                      gammas=[_num(g) for g in exp.gammas],
-                      est_errors=[_num(e) for e in exp.errs])
+    routes = {"em": (laurent_at_1, laurent_at_2),
+              "limit": (gammak_at_1_limit, gammak_at_2_limit)}
+    exp = routes[args.method][args.pole - 1](p, args.kmax)
+    rec = _record(args, started,
+                  pole=args.pole, method=exp.method,
+                  gamma_minus1=_num(exp.gamma_minus1),
+                  exact_residue=_num(exact),
+                  err_minus1=_num(exp.err_minus1),
+                  gammas=[_num(g) for g in exp.gammas],
+                  est_errors=[_num(e) for e in exp.errs])
     _emit(rec)
     return EXIT_OK
 
@@ -150,7 +142,7 @@ def _cmd_special(args) -> int:
             sys.stderr.write("--a is required for stieltjes\n")
             return EXIT_USAGE
         table = stieltjes_constants(args.a, args.kmax)
-        rec = _record(args, started, what=args.what, a=table.a,
+        rec = _record(args, started, what=args.what, a=args.a,
                       gammas=[_num(g) for g in table.gammas],
                       est_errors=[_num(e) for e in table.errs])
     else:

@@ -20,9 +20,8 @@ import numpy as np
 
 from .barnes import BarnesParams, _integral_rep_regular, _zeta2_jet
 from .errors import AccuracyError
-from .hurwitz import _hurwitz_jet
-from .numerics import (_B_FACT, _JET_REL_ERR, _jet_mul, _jet_pow, _jet_recip,
-                       _sum_in_order)
+from .numerics import (_B_FACT, _JET_REL_ERR, _hurwitz_jet, _jet_mul, _jet_pow,
+                       _jet_recip, _sum_in_order)
 
 __all__ = [
     "LaurentExpansion",
@@ -38,10 +37,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LaurentExpansion:
-    """Expansion about one of the two poles.
+    """Expansion about one of the two poles: the one record of every
+    Laurent table, the double zeta's by the jet ("em") or the limit
+    formula ("limit_formula") and the Hurwitz zeta's about s = 1 ("em").
 
-    gamma_minus1 is the computed residue; err_minus1 folds in both the
-    rounding floor and the deviation from the exact closed form.
+    gamma_minus1 is the computed residue; err_minus1 folds in both its
+    slot's error and the deviation from the exact closed form.
     """
 
     center: int
@@ -76,23 +77,29 @@ def residue_at_1(p: BarnesParams) -> float:
     return (p.v + p.w - 2.0 * p.alpha) / (2.0 * p.v * p.w)
 
 
-def _laurent_jet(p, center, exact_residue, k_max):
-    if not 0 <= k_max <= 12:
-        raise ValueError("k_max must be in 0..12")
-    jet = _zeta2_jet(float(center), p, k_max + 1)
-    g_m1 = float(jet[0])
-    gammas = tuple(float(g) for g in jet[1:k_max + 2])
-    # the error is about the same absolute size in every slot and the
-    # largest slots set it, so every slot read shares one bar
-    bar = _JET_REL_ERR * max(1.0, float(np.max(np.abs(jet[:k_max + 2]))))
+def _read_slots(center, slots, errs, exact_residue, method):
+    """The record of slots eps^-1..eps^k of a jet about s = center, with
+    their errors errs (one per slot, or one for all)."""
+    errs = np.broadcast_to(errs, slots.shape)
+    g_m1 = float(slots[0])
     return LaurentExpansion(
         center=center,
         gamma_minus1=g_m1,
-        err_minus1=bar + abs(g_m1 - exact_residue),
-        gammas=gammas,
-        errs=(bar,) * len(gammas),
-        method="em",
+        err_minus1=float(errs[0]) + abs(g_m1 - exact_residue),
+        gammas=tuple(map(float, slots[1:])),
+        errs=tuple(map(float, errs[1:])),
+        method=method,
     )
+
+
+def _laurent_jet(p, center, exact_residue, k_max):
+    if not 0 <= k_max <= 12:
+        raise ValueError("k_max must be in 0..12")
+    slots = _zeta2_jet(float(center), p, k_max + 1)[:k_max + 2]
+    # the error is about the same absolute size in every slot and the
+    # largest slots set it, so every slot read shares one bar
+    bar = _JET_REL_ERR * max(1.0, float(np.max(np.abs(slots))))
+    return _read_slots(center, slots, bar, exact_residue, "em")
 
 
 def laurent_at_2(p: BarnesParams, k_max: int) -> LaurentExpansion:
@@ -156,7 +163,7 @@ def _far_series(p: BarnesParams, center: int, start: float, n: int):
 
 
 def _limit_formula(p: BarnesParams, center: int, k_max: int):
-    """Finite-M limit-formula values of g_0..g_k_max about s = c = center.
+    """Finite-M limit-formula record of g_{-1}..g_k_max about s = c = center.
 
     With lo, hi = min, max(v, w), the rows m <= M of the lattice sum over
     n are Hurwitz zetas and the rows m > M a shifted double zeta, exactly:
@@ -164,12 +171,13 @@ def _limit_formula(p: BarnesParams, center: int, k_max: int):
                            + zeta_2(s, alpha+(M+1) lo).
     At M = 362 the M+1 rows are one ``_hurwitz_jet`` call summed in row
     order, and the shifted double zeta is ``_far_series``; g_k(c) is slot
-    k of their sum, with no fit.  err is the series' truncation error plus
-    2^-50 times the summed magnitudes of the rows (times |hi^(-s)|) and of
-    the series' terms.  Raises AccuracyError where the truncation error
-    exceeds the jet's floor _JET_REL_ERR max(1, |g_k|), as w/v is too far
-    from 1, and ValueError where alpha+(v+w)*362 >= 1e15: beyond it the
-    log powers cancel badly.  Returns a tuple of (value, err), one per k.
+    k of their sum, with no fit, the pole slot g_{-1} included.  err, per
+    slot, is the series' truncation error plus 2^-50 times the summed
+    magnitudes of the rows (times |hi^(-s)|) and of the series' terms.
+    Raises AccuracyError where the truncation error exceeds the jet's floor
+    _JET_REL_ERR max(1, |g_k|), k >= 0, as w/v is too far from 1, and
+    ValueError where alpha+(v+w)*362 >= 1e15: beyond it the log powers
+    cancel badly.  Returns a LaurentExpansion, method "limit_formula".
     """
     if not 0 <= k_max <= 4:
         raise ValueError("k_max must be in 0..4")
@@ -181,23 +189,24 @@ def _limit_formula(p: BarnesParams, center: int, k_max: int):
     n = k_max + (center == 1)
     rows = _hurwitz_jet(center, (p.alpha + lo * np.arange(m + 1)) / hi, n)
     power = _jet_pow(hi, center, n)
-    heads = _jet_mul(power, _sum_in_order(rows))[1:k_max + 2]
-    scale = _jet_mul(np.abs(power), _sum_in_order(np.abs(rows)))[1:k_max + 2]
+    heads = _jet_mul(power, _sum_in_order(rows))[:k_max + 2]
+    scale = _jet_mul(np.abs(power), _sum_in_order(np.abs(rows)))[:k_max + 2]
     far, trunc, far_scale = _far_series(p, center, p.alpha + (m + 1) * lo, k_max)
-    g = heads + far[1:]
-    if not trunc <= _JET_REL_ERR * np.min(np.maximum(1.0, np.abs(g))):
+    g = heads + far
+    if not trunc <= _JET_REL_ERR * np.min(np.maximum(1.0, np.abs(g[1:]))):
         raise AccuracyError(f"limit formula at M = {m}: the far-quadrant series "
                             f"is off by up to {trunc:.3g}, as w/v is too far from 1",
-                            value=g, achieved=float(trunc))
-    err = trunc + 2.0 ** -50 * (scale + far_scale[1:])
-    return tuple(zip(map(float, g), map(float, err)))
+                            value=g[1:], achieved=float(trunc))
+    err = trunc + 2.0 ** -50 * (scale + far_scale)
+    exact = residue_at_2(p) if center == 2 else residue_at_1(p)
+    return _read_slots(center, g, err, exact, "limit_formula")
 
 
-def gammak_at_2_limit(p: BarnesParams, k_max: int):
-    """(value, err) of g_0..g_k_max at s = 2, k_max <= 4 (limit formula)."""
+def gammak_at_2_limit(p: BarnesParams, k_max: int) -> LaurentExpansion:
+    """Coefficients g_{-1}..g_k_max at s = 2, k_max <= 4 (limit formula)."""
     return _limit_formula(p, 2, k_max)
 
 
-def gammak_at_1_limit(p: BarnesParams, k_max: int):
-    """(value, err) of g_0..g_k_max at s = 1, k_max <= 4 (limit formula)."""
+def gammak_at_1_limit(p: BarnesParams, k_max: int) -> LaurentExpansion:
+    """Coefficients g_{-1}..g_k_max at s = 1, k_max <= 4 (limit formula)."""
     return _limit_formula(p, 1, k_max)

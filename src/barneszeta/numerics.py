@@ -303,8 +303,8 @@ def frac_part_integral_1d(a, c, s, with_error: bool = False):
     c|s-1|; it covers the cancellation near s = 2 and at large a/c.
     """
     s = complex(s)
-    if not (a > 0 and c > 0):
-        raise ValueError("a and c must be positive")
+    if not (0 < a < math.inf and 0 < c < math.inf):
+        raise ValueError("a and c must be finite and positive")
     if s.real <= 1:
         raise DomainError("frac_part_integral_1d requires Re(s) > 1")
     value, err = _frac_1d(a, c, s, _hurwitz_jet(s - 1.0, a / c, 1))
@@ -386,8 +386,8 @@ def frac_part_integral_2d(alpha, v, w, s, with_error: bool = False):
     and the jet floor.
     """
     s = complex(s)
-    if not (alpha > 0 and v > 0 and w > 0):
-        raise ValueError("alpha, v, w must be positive")
+    if not all(0 < x < math.inf for x in (alpha, v, w)):
+        raise ValueError("alpha, v, w must be finite and positive")
     if s.real <= 3:
         raise DomainError("frac_part_integral_2d requires Re(s) > 3")
     c = max(v, w)

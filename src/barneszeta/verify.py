@@ -10,6 +10,7 @@ checks, never raised.
 
 from __future__ import annotations
 
+import cmath
 import copy
 import json
 import math
@@ -85,22 +86,27 @@ class Check:
 
 
 def _make_check(cid, lhs, rhs, tol):
+    # a non-finite side fails: NaN would otherwise pass as rel_err 0
     la, ra = complex(lhs), complex(rhs)
     abs_err = abs(la - ra)
     scale = max(abs(la), abs(ra))
-    rel_err = abs_err / scale if scale > 0 else 0.0
-    passed = bool(abs_err <= tol or rel_err <= tol)
+    rel_err = abs_err / scale if scale else 0.0
+    passed = bool(cmath.isfinite(la) and cmath.isfinite(ra)
+                  and (abs_err <= tol or rel_err <= tol))
     return Check(id=cid, lhs=float(la.real), rhs=float(ra.real),
                  abs_err=float(abs_err), rel_err=float(rel_err),
                  tol=float(tol), passed=passed)
 
 
 def _bound_check(cid, quantity, bound):
-    # pass iff quantity <= bound; encoded as abs_err against tol 0
-    excess = max(0.0, float(quantity) - float(bound))
-    return Check(id=cid, lhs=float(quantity), rhs=float(bound),
+    # pass iff quantity <= bound, both finite; encoded as abs_err against
+    # tol 0, and max keeps a NaN excess where max(0.0, .) would drop it
+    quantity, bound = float(quantity), float(bound)
+    excess = max(quantity - bound, 0.0)
+    return Check(id=cid, lhs=quantity, rhs=bound,
                  abs_err=excess, rel_err=excess, tol=0.0,
-                 passed=excess <= 0.0)
+                 passed=math.isfinite(quantity) and math.isfinite(bound)
+                 and excess <= 0.0)
 
 
 def _failed_check(cid, exc, tol):
@@ -218,7 +224,7 @@ def _limit_checks(limit, p, gammas, suffix, tol):
     except Exception as exc:  # noqa: BLE001 - recorded, not raised
         return [_failed_check(cid, exc, tol) for cid in cids]
     return [_make_check(cid, g, val, tol)
-            for cid, g, (val, _) in zip(cids, gammas, limits)]
+            for cid, g, val in zip(cids, gammas, limits.gammas)]
 
 
 def _alpha_slope(p: BarnesParams, center: float, k_max: int):

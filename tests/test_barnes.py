@@ -36,6 +36,10 @@ class TestParams:
             BarnesParams(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             BarnesParams(1.0, -1.0, 1.0)
+        for bad in (math.inf, math.nan):
+            for triple in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    BarnesParams(*triple)
 
     def test_swapped(self):
         p = BarnesParams(1.0, 2.0, 3.0)
@@ -193,6 +197,31 @@ class TestZeta2:
         vec = _row_sum_jet(cs, 0.7, v, w, 4)
         for ci, vi in zip(cs, vec.T):
             assert vi.tobytes() == _row_sum_jet(ci, 0.7, v, w, 4).tobytes()
+
+    @pytest.mark.parametrize("triple", [(0.7, 1.3, 2.1), (2.5, 0.5, 2.5),
+                                        (5.0, 5.0, 5.0), (0.1, 0.1, 0.1),
+                                        (0.1, 0.1, 4.9)])
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_strip_matches_row_by_row(self, triple, power):
+        # _row_sum_jet's row-removal identity: the outer row sum at two
+        # starts differs by M+1 rows, sum_{m<=M} zeta_H(s, a_m+M+1), which
+        # is checked against the sum of its M+1 Hurwitz jets, slots
+        # eps^0..eps^3
+        alpha, v, w = triple
+        a = (alpha + v * np.arange(65)) / w
+        for m in (16, 64):
+            outer = _row_sum_jet(power, [alpha + (m + 1) * w,
+                                         alpha + (m + 1) * (v + w)], v, w, 5)
+            strip = (outer[:, 0] - outer[:, 1])[1:5]
+            ref = _hurwitz_jet(power, a[:m + 1] + m + 1, 5)[1:5].sum(axis=1)
+            err = np.abs(strip - ref)
+            if v / w > 0.1:
+                assert np.all(err <= 1e-14 * np.abs(ref)), (m, err / np.abs(ref))
+            else:
+                # v/w = 1/49: the strip is about 150x smaller than the row
+                # sums it is the difference of, and that sets its error
+                scale = np.abs(outer[:, 0]) + np.abs(outer[:, 1])
+                assert np.all(err <= 1e-15 * scale[1:5]), (m, err / scale[1:5])
 
     def test_one_rising_table(self, monkeypatch):
         # the Hurwitz level builds the table on its centers c + k, and the

@@ -157,6 +157,22 @@ class TestLaurent:
         assert rec["method"] == "limit_formula"
         assert abs(rec["gammas"][0] - EULER) < 1e-4
 
+    @pytest.mark.parametrize("method", ["em", "limit"])
+    def test_one_record_layout(self, capsys, method):
+        # both routes print the same keys, the pole slot and its err included
+        code, rec, _ = run_cli(capsys, ["laurent", "--pole", "1",
+                                        "--method", method, "--alpha", "0.7",
+                                        "--v", "1.3", "--w", "2.1",
+                                        "--kmax", "2"])
+        assert code == 0
+        assert set(rec) == {"schema_version", "command", "config",
+                            "wall_time_ms", "pole", "method", "gamma_minus1",
+                            "exact_residue", "err_minus1", "gammas",
+                            "est_errors"}
+        assert len(rec["gammas"]) == len(rec["est_errors"]) == 3
+        assert (abs(rec["gamma_minus1"] - rec["exact_residue"])
+                <= rec["err_minus1"] <= 1e-10)
+
     @pytest.mark.parametrize("kmax", ["-1", "13"])
     def test_limit_order_out_of_range_is_usage_error(self, capsys, kmax):
         code, rec, err = run_cli(capsys, ["laurent", "--pole", "2",
@@ -249,6 +265,27 @@ class TestSpecial:
         assert code == 3
         assert rec is None
         assert "error" in err
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--s", "3", "--alpha", "inf", "--v", "1", "--w", "1"],
+        ["eval", "--s", "3", "--alpha", "1", "--v", "inf", "--w", "1"],
+        ["eval", "--s", "3", "--alpha", "1", "--v", "1", "--w", "inf"],
+        ["eval", "--s", "3", "--alpha", "nan", "--v", "1", "--w", "1"],
+        ["laurent", "--pole", "2", "--alpha", "inf", "--v", "1", "--w", "1"],
+        ["laurent", "--pole", "1", "--method", "limit", "--alpha", "1",
+         "--v", "1", "--w", "nan"],
+        ["special", "--what", "stieltjes", "--a", "inf"],
+        ["special", "--what", "gamma2", "--alpha", "inf"]])
+    def test_usage_error(self, capsys, argv):
+        # refused at the boundary: inside the evaluators a non-finite
+        # parameter surfaces as exit 3 "error up to nan" or a math domain
+        # error
+        code, rec, err = run_cli(capsys, argv)
+        assert code == 64
+        assert rec is None
+        assert "finite and positive" in err
 
 
 class TestVerify:

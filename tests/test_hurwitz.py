@@ -8,7 +8,7 @@ import pytest
 
 from barneszeta import (
     BarnesParams,
-    StieltjesTable,
+    LaurentExpansion,
     hurwitz_zeta,
     riemann_zeta,
     stieltjes_constants,
@@ -16,7 +16,8 @@ from barneszeta import (
 )
 from barneszeta.config import HURWITZ_J, HURWITZ_M
 from barneszeta.errors import AccuracyError, PoleError
-from barneszeta.numerics import _head_length, _hurwitz_jet, _jet_pow
+from barneszeta.numerics import (_JET_REL_ERR, _head_length, _hurwitz_jet,
+                                 _jet_pow)
 
 from conftest import (GAMMA0_HALF, RAW_STIELTJES_1, ZETA2, ZETA3, ZETA4,
                       zeta2_commensurate_mpmath)
@@ -160,6 +161,10 @@ class TestHurwitzZeta:
             hurwitz_zeta(1.0, 0.5)
         with pytest.raises(ValueError):
             hurwitz_zeta(2.0, -1.0)
+        # a non-finite a is refused, not carried into the head length
+        for a in (math.inf, math.nan, [0.5, math.inf]):
+            with pytest.raises(ValueError, match="finite and positive"):
+                hurwitz_zeta(2.0, a)
 
 
 class TestStieltjes:
@@ -205,9 +210,24 @@ class TestStieltjes:
                 assert abs(series - hurwitz_zeta(s, a)) < 1e-8
 
     def test_table_validation(self):
+        for a in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                stieltjes_constants(a, 2)
         with pytest.raises(ValueError):
-            StieltjesTable(a=-1.0, gammas=(1.0,), errs=(0.0,))
-        with pytest.raises(ValueError):
-            StieltjesTable(a=1.0, gammas=(1.0,), errs=())
+            LaurentExpansion(center=1, gamma_minus1=1.0, err_minus1=0.0,
+                             gammas=(1.0,), errs=(), method="em")
         with pytest.raises(ValueError):
             stieltjes_constants(1.0, 17)
+
+    def test_table_is_laurent_record(self):
+        # the one Laurent record, about s = 1: the pole slot is the
+        # residue 1 and every slot carries its own jet floor
+        table = stieltjes_constants(0.3, 6)
+        assert isinstance(table, LaurentExpansion)
+        assert (table.center, table.method) == (1, "em")
+        assert len(table.gammas) == len(table.errs) == 7
+        assert abs(table.gamma_minus1 - 1.0) <= table.err_minus1 <= 1e-10
+        for g, e in zip(table.gammas, table.errs):
+            assert e == _JET_REL_ERR * max(1.0, abs(g))
+        s = 1.05
+        assert abs(table.evaluate(s) - hurwitz_zeta(s, 0.3)) < 1e-8

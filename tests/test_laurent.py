@@ -22,8 +22,7 @@ from barneszeta import (
     zeta2,
 )
 from barneszeta import barnes, hurwitz, laurent, numerics
-from barneszeta.barnes import _row_sum_jet
-from barneszeta.hurwitz import _hurwitz_jet
+from barneszeta.numerics import _hurwitz_jet
 from barneszeta.laurent import _limit_formula
 
 from conftest import (EULER, LAURENT_LOPSIDED_S1, LAURENT_V_EQ_W,
@@ -183,7 +182,7 @@ class TestGammakAt2Limit:
     def test_matches_jet(self, fixed_suite):
         for p in fixed_suite:
             exp = laurent_at_2(p, 2)
-            for k, (val, err) in enumerate(gammak_at_2_limit(p, 2)):
+            for k, val in enumerate(gammak_at_2_limit(p, 2).gammas):
                 assert abs(val - exp.gammas[k]) < 1e-8
 
     @pytest.mark.parametrize("triple", [
@@ -198,8 +197,8 @@ class TestGammakAt2Limit:
         p = BarnesParams(*triple)
         for center, jet, limit in ((2, laurent_at_2, gammak_at_2_limit),
                                    (1, laurent_at_1, gammak_at_1_limit)):
-            exp = jet(p, 4)
-            for k, (val, err) in enumerate(limit(p, 4)):
+            exp, lim = jet(p, 4), limit(p, 4)
+            for k, (val, err) in enumerate(zip(lim.gammas, lim.errs)):
                 gap = abs(val - exp.gammas[k])
                 assert gap <= err + exp.errs[k], (center, k, gap, err)
 
@@ -246,23 +245,8 @@ class TestGammakAt2Limit:
         for center, jet in ((2, laurent_at_2), (1, laurent_at_1)):
             with pytest.raises(AssertionError):
                 jet(p, 4)
-            assert len(_limit_formula(p, center, 4)) == 5
+            assert len(_limit_formula(p, center, 4).gammas) == 5
 
-    def test_validation(self):
-        p = BarnesParams(1, 1, 1)
-        with pytest.raises(ValueError):
-            gammak_at_2_limit(p, -1)
-        # alpha + (v+w)M at or above 1e15 is refused, not thinned out
-        with pytest.raises(ValueError, match=r"alpha \+ \(v\+w\)\*362"):
-            gammak_at_2_limit(BarnesParams(1, 2e12, 2e12), 0)
-
-    def test_orders_beyond_four_rejected(self):
-        # the values and their err are only checked up to k = 4
-        with pytest.raises(ValueError):
-            gammak_at_2_limit(BarnesParams(1, 1, 1), 5)
-
-
-class TestLatticeLogSums:
     @pytest.mark.parametrize("triple", [(0.1, 4.9, 0.1), (2.5, 0.5, 2.5),
                                         (0.7, 2.1, 1.3)])
     def test_swap_symmetric(self, triple):
@@ -271,30 +255,6 @@ class TestLatticeLogSums:
         for center in (1, 2):
             assert (_limit_formula(p, center, 4)
                     == _limit_formula(p.swapped(), center, 4))
-
-    @pytest.mark.parametrize("triple", [(0.7, 1.3, 2.1), (2.5, 0.5, 2.5),
-                                        (5.0, 5.0, 5.0), (0.1, 0.1, 0.1),
-                                        (0.1, 0.1, 4.9)])
-    @pytest.mark.parametrize("power", [1, 2])
-    def test_strip_matches_row_by_row(self, triple, power):
-        # the outer row sum at two starts: their difference, sum_{m<=M}
-        # zeta_H(s, a_m+M+1), against the sum of its M+1 Hurwitz jets,
-        # slots eps^0..eps^3
-        alpha, v, w = triple
-        a = (alpha + v * np.arange(65)) / w
-        for m in (16, 64):
-            outer = _row_sum_jet(power, [alpha + (m + 1) * w,
-                                         alpha + (m + 1) * (v + w)], v, w, 5)
-            strip = (outer[:, 0] - outer[:, 1])[1:5]
-            ref = _hurwitz_jet(power, a[:m + 1] + m + 1, 5)[1:5].sum(axis=1)
-            err = np.abs(strip - ref)
-            if v / w > 0.1:
-                assert np.all(err <= 1e-14 * np.abs(ref)), (m, err / np.abs(ref))
-            else:
-                # v/w = 1/49: the strip is about 150x smaller than the row
-                # sums it is the difference of, and that sets its error
-                scale = np.abs(outer[:, 0]) + np.abs(outer[:, 1])
-                assert np.all(err <= 1e-15 * scale[1:5]), (m, err / scale[1:5])
 
     def test_hurwitz_work_of_default_limit(self, monkeypatch):
         # one call for the M+1 = 363 Hurwitz rows and nothing else
@@ -308,3 +268,34 @@ class TestLatticeLogSums:
         monkeypatch.setattr(laurent, "_hurwitz_jet", counted)
         gammak_at_2_limit(BarnesParams(0.7, 1.3, 2.1), 2)
         assert count == [363], count
+
+    def test_pole_slot_is_residue(self, fixed_suite):
+        # the route's own pole slot, on the fixed five and the eight
+        # triples of the CI limit-formula step: at s = 1 it is (M+1)/hi
+        # of the rows cancelled against the series', and lands within
+        # 1e-12 of the closed form all the same
+        ci = [(0.1, 4.9, 0.1), (0.1, 0.1, 4.9), (0.1, 0.1, 0.1),
+              (5.0, 5.0, 5.0), (2.5, 0.5, 2.5),
+              (3.1075792861307994, 0.11289069276886864, 4.560995172522605),
+              (1.569, 2.171, 0.239), (3.5667, 0.10588, 2.5665)]
+        for p in [*fixed_suite, *(BarnesParams(*t) for t in ci)]:
+            for limit, residue in ((gammak_at_2_limit, residue_at_2),
+                                   (gammak_at_1_limit, residue_at_1)):
+                exp, res = limit(p, 4), residue(p)
+                assert exp.method == "limit_formula"
+                assert exp.center == (2 if limit is gammak_at_2_limit else 1)
+                gap = abs(exp.gamma_minus1 - res)
+                assert gap <= 1e-12 * max(1.0, abs(res)), (p, gap)
+
+    def test_validation(self):
+        p = BarnesParams(1, 1, 1)
+        with pytest.raises(ValueError):
+            gammak_at_2_limit(p, -1)
+        # alpha + (v+w)M at or above 1e15 is refused, not thinned out
+        with pytest.raises(ValueError, match=r"alpha \+ \(v\+w\)\*362"):
+            gammak_at_2_limit(BarnesParams(1, 2e12, 2e12), 0)
+
+    def test_orders_beyond_four_rejected(self):
+        # the values and their err are only checked up to k = 4
+        with pytest.raises(ValueError):
+            gammak_at_2_limit(BarnesParams(1, 1, 1), 5)

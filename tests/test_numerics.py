@@ -305,6 +305,9 @@ class TestFracPart1D:
             frac_part_integral_1d(1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             frac_part_integral_1d(-1.0, 1.0, 2.0)
+        for a, c in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                frac_part_integral_1d(a, c, 2.5)
 
 
 class TestFracPart2D:
@@ -331,6 +334,10 @@ class TestFracPart2D:
                 frac_part_integral_2d(1.0, 1.0, 1.0, s)
         with pytest.raises(ValueError):
             frac_part_integral_2d(0.0, 1.0, 1.0, 4.0)
+        for triple in ((math.inf, 1.0, 1.0), (1.0, math.inf, 1.0),
+                       (1.0, 1.0, math.inf), (1.0, math.nan, 1.0)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                frac_part_integral_2d(*triple, 4.0)
 
     def test_refusals(self):
         # the cell budget is checked before any Hurwitz work; below it, the

@@ -43,6 +43,18 @@ class TestCheckPlumbing:
         assert _bound_check("b", 0.5, 1.0).passed
         assert not _bound_check("b", 1.5, 1.0).passed
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fails(self, bad):
+        # a non-finite side fails; for NaN, max() would keep it as the
+        # scale (rel_err 0) and max(0.0, nan) would drop the excess
+        for lhs, rhs in ((bad, 1.0), (1.0, bad), (bad, bad)):
+            c = _make_check("m", lhs, rhs, 1e-9)
+            assert not c.passed, (lhs, rhs, c)
+            assert not _bound_check("b", lhs, rhs).passed, (lhs, rhs)
+        assert not _make_check("m", complex(1.0, bad), 1.0, 1e-9).passed
+        assert math.isnan(_make_check("m", math.nan, 1.0, 1e-9).rel_err)
+        assert math.isnan(_bound_check("b", math.nan, 1.0).abs_err)
+
     def test_check_roundtrip(self):
         c = _make_check("roundtrip", 2.0, 2.5, 1e-3)
         assert Check.from_dict(c.to_dict()) == c
