@@ -13,7 +13,6 @@ from .barnes import (
     polygamma2,
     zeta2,
     zeta2_direct,
-    zeta2_integral_rep,
     zeta2_s_derivatives_at_0,
 )
 from .errors import (

@@ -1,6 +1,8 @@
 """Barnes double zeta-function: evaluation away from the poles at s = 1, 2,
 derivatives in s at the origin, the double log-gamma, and double
 poly-gamma values, all read off one Euler-Maclaurin evaluator on jets in s.
+The paper's integral representation serves only the constant term at
+s = 2, in ``laurent.gamma0_at_2_integral``.
 """
 
 from __future__ import annotations
@@ -15,13 +17,11 @@ from .errors import AccuracyError, DomainError, PoleError
 from .numerics import (
     _center,
     _em_tail,
-    _frac_1d,
     _head_length,
     _hurwitz_jet,
     _jet_mul,
     _jet_pow,
     _rising,
-    _sawtooth_2d,
     _sum_in_order,
 )
 
@@ -29,7 +29,6 @@ __all__ = [
     "BarnesParams",
     "zeta2_direct",
     "zeta2",
-    "zeta2_integral_rep",
     "zeta2_s_derivatives_at_0",
     "log_gamma2",
     "polygamma2",
@@ -133,56 +132,14 @@ def zeta2(s, p: BarnesParams):
     ndarray s.
     """
     s_in = np.asarray(s, dtype=complex)
+    if not np.all(np.isfinite(s_in)):
+        raise DomainError("s must be finite")
     if np.any(s_in == 1.0):
         raise PoleError(1)
     if np.any(s_in == 2.0):
         raise PoleError(2)
     out = _zeta2_jet(s_in, p, 1)[1]
     return complex(out) if s_in.ndim == 0 else out
-
-
-def _integral_rep_regular(s, p: BarnesParams):
-    """Every term of the integral representation of zeta_2 but the one
-    carrying both poles, alpha^(2-s)/(vw(s-1)(s-2)), for Re(s) > 1:
-    -alpha^(-s) + v^(-s) zeta_H(s, alpha/v) + w^(-s) zeta_H(s, alpha/w)
-    - (w/v) I_1(alpha; w, s) - (v/w) I_1(alpha; v, s) + vw s(s+1) I_2(s+2),
-    I_1 and I_2 the 1-D and 2-D sawtooth integrals.
-
-    With lo = min(v, w) and hi = max(v, w), the boundary layer of I_2(s+2)
-    is hi^(-s-2) I_1(alpha/hi; lo/hi, s)/(s(s+1)), and I_1(a/l; c/l, s) =
-    l^s I_1(a; c, s), so it adds (lo/hi) I_1(alpha; lo, s) to the sum:
-    exactly the 1-D term of weight lo/hi, which it cancels.  The rest
-    reads zeta_H(s, alpha/v), zeta_H(s, alpha/w), the jet of zeta_H(s-1,
-    alpha/hi) for I_1(alpha; hi, s) and the 2-D nodes and tail points from
-    one ``_hurwitz_jet`` call (per 8192 points, ``_sawtooth_2d``).  The
-    jets follow s, so at a real s the call runs in float64.
-    """
-    alpha, v, w = p.alpha, p.v, p.w
-    lo, hi = sorted((v, w))
-    jets, full, _, tails = _sawtooth_2d(alpha / hi, lo / hi, s + 2.0,
-                                        [s, s, s - 1.0],
-                                        [alpha / v, alpha / w, alpha / hi])
-    return (
-        -alpha ** (-s)
-        + v ** (-s) * jets[1, 0]
-        + w ** (-s) * jets[1, 1]
-        - (hi / lo) * _frac_1d(alpha, hi, s, jets[:, 2])[0]
-        + v * w * s * (s + 1.0) * hi ** (-s - 2.0) * (full.sum() + tails.sum())
-    )
-
-
-def zeta2_integral_rep(s, p: BarnesParams):
-    """Seven-term integral representation of zeta_2, valid for Re(s) > 1:
-    ``_integral_rep_regular`` plus the rational term carrying both poles.
-    An independent cross-check of :func:`zeta2` near s = 2.
-    """
-    s = complex(s)
-    if s.real <= 1:
-        raise DomainError("zeta2_integral_rep requires Re(s) > 1")
-    if s in (1.0 + 0j, 2.0 + 0j):
-        raise PoleError(int(s.real))
-    return complex(_integral_rep_regular(s, p)
-                   + p.alpha ** (2.0 - s) / (p.v * p.w * (s - 1.0) * (s - 2.0)))
 
 
 def zeta2_s_derivatives_at_0(p: BarnesParams, k_max: int):

@@ -197,7 +197,6 @@ def build_parser() -> _Parser:
     pe.add_argument("--alpha", type=float, required=True)
     pe.add_argument("--v", type=float, required=True)
     pe.add_argument("--w", type=float, required=True)
-    pe.add_argument("--method", choices=["auto", "em"], default="auto")
     pe.add_argument("--laurent-fallback", action="store_true")
     pe.set_defaults(func=_cmd_eval)
 

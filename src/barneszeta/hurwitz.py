@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import DomainError, PoleError
 from .laurent import LaurentExpansion, _read_slots
 from .numerics import _JET_REL_ERR, _hurwitz_jet
 
@@ -34,6 +34,8 @@ def hurwitz_zeta(s, a):
     """
     s_arr = np.asarray(s, dtype=complex)
     a_arr = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(s_arr)):
+        raise DomainError("s must be finite")
     if not np.all((0 < a_arr) & (a_arr < np.inf)):
         raise ValueError("a must be finite and positive")
     if np.any(s_arr == 1.0):

@@ -1,9 +1,10 @@
 """Laurent coefficients of the Barnes double zeta-function at s = 2 and
 s = 1, from the Euler-Maclaurin jet, by finite-M limit formulas at either
-pole, and by the closed integral representation of the constant term at
-s = 2.  The limit formulas sum M+1 = 363 Hurwitz rows of the lattice, one
-Hurwitz call for every order, and add the far quadrant beyond them, one
-shifted double zeta, from its large-A asymptotic series.  No fit or
+pole, and the constant term at s = 2 by the paper's integral
+representation of zeta_2, which the package uses nowhere else.  The
+limit formulas sum M+1 = 363 Hurwitz rows of the lattice, one Hurwitz
+call for every order, and add the far quadrant beyond them, one shifted
+double zeta, from its large-A asymptotic series.  No fit or
 extrapolation in M is left.
 
 Coefficients are raw Laurent coefficients:
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barnes import BarnesParams, _integral_rep_regular, _zeta2_jet
+from .barnes import BarnesParams, _zeta2_jet
 from .errors import AccuracyError
-from .numerics import (_B_FACT, _JET_REL_ERR, _hurwitz_jet, _jet_mul, _jet_pow,
-                       _jet_recip, _sum_in_order)
+from .numerics import (_B_FACT, _JET_REL_ERR, _frac_1d, _hurwitz_jet, _jet_mul,
+                       _jet_pow, _jet_recip, _sawtooth_2d, _sum_in_order)
 
 __all__ = [
     "LaurentExpansion",
@@ -113,12 +114,37 @@ def laurent_at_1(p: BarnesParams, k_max: int) -> LaurentExpansion:
 
 
 def gamma0_at_2_integral(p: BarnesParams) -> float:
-    """Constant term at s = 2 via the closed integral representation,
-    g_0(2) = R(2) - (1+log alpha)/(v w): R is ``_integral_rep_regular``, and
-    the rational term alpha^(2-s)/(vw(s-1)(s-2)) gives the log term.
+    """Constant term at s = 2 via the paper's integral representation of
+    zeta_2 for Re(s) > 1: alpha^(2-s)/(vw(s-1)(s-2)) - alpha^(-s)
+    + v^(-s) zeta_H(s, alpha/v) + w^(-s) zeta_H(s, alpha/w)
+    - (w/v) I_1(alpha; w, s) - (v/w) I_1(alpha; v, s) + vw s(s+1) I_2(s+2),
+    I_1 and I_2 the 1-D and 2-D sawtooth integrals.  The first term
+    carries both poles and gives g_0(2) its -(1+log alpha)/(vw); the rest
+    is regular at s = 2 and is taken there.
+
+    With lo = min(v, w) and hi = max(v, w), the boundary layer of I_2(s+2)
+    is hi^(-s-2) I_1(alpha/hi; lo/hi, s)/(s(s+1)), and I_1(a/l; c/l, s) =
+    l^s I_1(a; c, s), so it adds (lo/hi) I_1(alpha; lo, s) to the sum:
+    exactly the 1-D term of weight lo/hi, which it cancels.  The rest
+    reads zeta_H(s, alpha/v), zeta_H(s, alpha/w), the jet of zeta_H(s-1,
+    alpha/hi) for I_1(alpha; hi, s) and the 2-D nodes and tail points from
+    one ``_hurwitz_jet`` call (per 8192 points, ``_sawtooth_2d``), in
+    float64 as s is real.
     """
-    return float(_integral_rep_regular(2.0, p).real
-                 - (1.0 + math.log(p.alpha)) / (p.v * p.w))
+    s = 2.0
+    alpha, v, w = p.alpha, p.v, p.w
+    lo, hi = sorted((v, w))
+    jets, full, _, tails = _sawtooth_2d(alpha / hi, lo / hi, s + 2.0,
+                                        [s, s, s - 1.0],
+                                        [alpha / v, alpha / w, alpha / hi])
+    regular = (
+        -alpha ** (-s)
+        + v ** (-s) * jets[1, 0]
+        + w ** (-s) * jets[1, 1]
+        - (hi / lo) * _frac_1d(alpha, hi, s, jets[:, 2])[0]
+        + v * w * s * (s + 1.0) * hi ** (-s - 2.0) * (full.sum() + tails.sum())
+    )
+    return float(regular.real - (1.0 + math.log(alpha)) / (v * w))
 
 
 def _far_series(p: BarnesParams, center: int, start: float, n: int):

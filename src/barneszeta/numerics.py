@@ -8,6 +8,7 @@ and circle-contour extraction of Taylor/Laurent coefficients.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -303,6 +304,8 @@ def frac_part_integral_1d(a, c, s, with_error: bool = False):
     c|s-1|; it covers the cancellation near s = 2 and at large a/c.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError("s must be finite")
     if not (0 < a < math.inf and 0 < c < math.inf):
         raise ValueError("a and c must be finite and positive")
     if s.real <= 1:
@@ -386,6 +389,8 @@ def frac_part_integral_2d(alpha, v, w, s, with_error: bool = False):
     and the jet floor.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError("s must be finite")
     if not all(0 < x < math.inf for x in (alpha, v, w)):
         raise ValueError("alpha, v, w must be finite and positive")
     if s.real <= 3:

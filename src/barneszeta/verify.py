@@ -317,20 +317,19 @@ def verify_bounds() -> VerificationReport:
     """
     k_max, a_list = 10, (0.1, 0.3, 0.5, 1.0)
     checks = []
-    for a in a_list:
-        table = stieltjes_constants(a, k_max)
+    tables = {a: stieltjes_constants(a, k_max) for a in a_list}
+    for a, table in tables.items():
         for k in range(1, k_max + 1):
             centred = abs(table.gammas[k]
                           - (-1) ** k * math.log(a) ** k / (a * math.factorial(k)))
             bound = (3 + (-1) ** k) / (k * math.pi ** k)
             checks.append(_bound_check(f"hurwitz_bound_a={a}_k={k}",
                                        centred, bound))
-    table1 = stieltjes_constants(1.0, k_max)
     for k in range(1, k_max + 1):
         bound = ((3 + (-1) ** k) * math.factorial(2 * k)
                  / (k ** (k + 1) * (2 * math.pi) ** k))
         checks.append(_bound_check(f"riemann_bound_k={k}",
-                                   abs(table1.gammas[k]), bound))
+                                   abs(tables[1.0].gammas[k]), bound))
     return VerificationReport("bounds", checks, {"a_list": list(a_list)})
 
 

@@ -5,6 +5,8 @@ package (closed forms, high-precision library values, or direct
 truncated summation) and then frozen.
 """
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -182,20 +184,22 @@ def sawtooth_2d_mpmath(alpha, p, q, t, s):
         return complex((zeta2 - other) / (v * w * r * (r + 1)))
 
 
-def zeta2_integral_rep_by_terms(s, p):
-    """The seven-term integral representation of zeta_2, Re s > 1, summed
-    term by term from the public evaluators: two hurwitz_zeta calls, two
-    frac_part_integral_1d calls and frac_part_integral_2d.  The oracle for
-    zeta2_integral_rep, which cancels the 2-D boundary layer against one
-    1-D term and reads every Hurwitz value from one call."""
-    a, v, w, s = p.alpha, p.v, p.w, complex(s)
-    return (-a ** -s
-            + v ** -s * hurwitz_zeta(s, a / v)
-            + w ** -s * hurwitz_zeta(s, a / w)
-            - (w / v) * frac_part_integral_1d(a, w, s)
-            - (v / w) * frac_part_integral_1d(a, v, s)
-            + v * w * s * (s + 1.0) * frac_part_integral_2d(a, v, w, s + 2.0)
-            + a ** (2.0 - s) / (v * w * (s - 1.0) * (s - 2.0)))
+def gamma0_at_2_by_terms(p):
+    """g_0(2) from the integral representation of zeta_2, summed term by
+    term from the public evaluators at s = 2: two hurwitz_zeta calls, two
+    frac_part_integral_1d calls and frac_part_integral_2d at s + 2 = 4,
+    less (1 + log alpha)/(vw), the constant term of alpha^(2-s)/(vw(s-1)
+    (s-2)).  The oracle for gamma0_at_2_integral, which cancels the 2-D
+    boundary layer against one 1-D term and reads every Hurwitz value from
+    one call."""
+    a, v, w = p.alpha, p.v, p.w
+    return (-a ** -2.0
+            + v ** -2.0 * hurwitz_zeta(2.0, a / v)
+            + w ** -2.0 * hurwitz_zeta(2.0, a / w)
+            - (w / v) * frac_part_integral_1d(a, w, 2.0)
+            - (v / w) * frac_part_integral_1d(a, v, 2.0)
+            + 6.0 * v * w * frac_part_integral_2d(a, v, w, 4.0)
+            - (1.0 + math.log(a)) / (v * w)).real
 
 
 def brute_frac_2d(alpha, v, w, s, t_max, h):

@@ -1,5 +1,5 @@
-"""Double zeta evaluation: direct sum, continuation, integral
-representation, s-derivatives at the origin, log Gamma_2, psi_2."""
+"""Double zeta evaluation: direct sum, continuation, s-derivatives at the
+origin, log Gamma_2, psi_2."""
 
 import math
 
@@ -16,7 +16,6 @@ from barneszeta import (
     polygamma2,
     zeta2,
     zeta2_direct,
-    zeta2_integral_rep,
     zeta2_s_derivatives_at_0,
 )
 from barneszeta import barnes, numerics
@@ -26,8 +25,7 @@ from barneszeta.errors import AccuracyError, DomainError, PoleError
 from barneszeta.numerics import _head_length, _hurwitz_jet, _rising
 
 from conftest import (ZETA2, ZETA3, ZETA4, ZETA_PRIME_M1, brute_zeta2,
-                      zeta2_commensurate_mpmath, zeta2_integral_rep_by_terms,
-                      zeta2_row_sum_mpmath)
+                      zeta2_commensurate_mpmath, zeta2_row_sum_mpmath)
 
 
 class TestParams:
@@ -269,6 +267,14 @@ class TestZeta2:
         with pytest.raises(PoleError):
             zeta2(np.array([3.0, 2.0]), p)
 
+    @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan,
+                                   complex(2.0, math.inf), [3.0, math.nan]])
+    def test_non_finite_s_refused(self, s):
+        # refused before any arithmetic; the jet would carry it to an
+        # AccuracyError "truncation error up to nan"
+        with pytest.raises(DomainError, match="s must be finite"):
+            zeta2(s, BarnesParams(1, 1, 1))
+
 
 _weight = st.floats(0.2, 5.0)
 _s_off_poles = st.builds(complex, st.floats(0.5, 6.0), st.floats(-50.0, 50.0)) \
@@ -300,69 +306,6 @@ class TestZeta2Properties:
                - zeta2(s, BarnesParams(alpha + v, v, w)))
         rhs = w ** (-s) * hurwitz_zeta(s, alpha / w)
         assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(rhs))
-
-
-class TestIntegralRep:
-    def test_against_continuation(self):
-        for p in (BarnesParams(1, 1, 1), BarnesParams(0.7, 1.3, 2.1)):
-            for s in (2.5, 1.5, 3.0):
-                assert abs(zeta2_integral_rep(s, p) - zeta2(s, p)) < 1e-6
-
-    def test_against_direct(self):
-        # the lattice sum at weights 3:1 in mpmath's closed form; worst seen
-        # 1.5e-15 relative
-        ref = zeta2_commensurate_mpmath(3.0, 2.0, 3, 1, 1.0)
-        val = zeta2_integral_rep(3.0, BarnesParams(2.0, 3.0, 1.0))
-        assert abs(val - ref) < 1e-12 * abs(ref)
-
-    def test_lopsided_against_commensurate(self):
-        # a boundary layer of width alpha/v = 1/49 in both sawtooth
-        # integrals; worst seen 5.6e-15 relative
-        for s in (2.05 + 20j, 1.5 + 3j):
-            ref = zeta2_commensurate_mpmath(s, 0.1, 49, 1, 0.1)
-            for p in (BarnesParams(0.1, 4.9, 0.1), BarnesParams(0.1, 0.1, 4.9)):
-                assert abs(zeta2_integral_rep(s, p) - ref) < 1e-12 * abs(ref)
-
-    def test_against_terms(self):
-        # the boundary-layer cancellation and the one Hurwitz call change
-        # only the rounding: worst seen 4.0e-16 relative at real s, 3.1e-16
-        # at complex s
-        for p in (BarnesParams(0.7, 1.3, 2.1), BarnesParams(0.1, 4.9, 0.1),
-                  BarnesParams(2.5, 0.5, 2.5), BarnesParams(1, 1, 1)):
-            for s in (2.5, 1.5, 3.0, 2.05 + 20j, 1.5 + 3j, 3.0 - 7j):
-                ref = zeta2_integral_rep_by_terms(s, p)
-                assert abs(zeta2_integral_rep(s, p) - ref) <= 1e-14 * abs(ref), (p, s)
-
-    def test_against_terms_over_two_chunks(self, monkeypatch):
-        # 8,433 Hurwitz points, so two calls of at most 8192; 0 relative seen
-        p, s = BarnesParams(0.1, 5.0, 5.0), 2.5 + 185j
-        ref = zeta2_integral_rep_by_terms(s, p)
-        sizes = []
-
-        def counted(c, a, n, poch=None):
-            sizes.append(np.size(c))
-            return _hurwitz_jet(c, a, n, poch)
-
-        monkeypatch.setattr(numerics, "_hurwitz_jet", counted)
-        val = zeta2_integral_rep(s, p)
-        assert len(sizes) == 2 and sizes[0] == 8192, sizes
-        assert abs(val - ref) <= 1e-14 * abs(ref)
-
-    def test_residue_limit(self):
-        # (s-2) * zeta2_integral_rep -> 1/(vw) along a real sequence
-        p = BarnesParams(0.7, 1.3, 2.1)
-        res = 1.0 / (p.v * p.w)
-        errs = [abs((s - 2.0) * zeta2_integral_rep(s, p) - res)
-                for s in (2.1, 2.01, 2.001)]
-        assert errs[-1] < errs[0]
-        assert errs[-1] < 5e-3
-
-    def test_domain(self):
-        p = BarnesParams(1, 1, 1)
-        with pytest.raises(DomainError):
-            zeta2_integral_rep(0.5, p)
-        with pytest.raises(PoleError):
-            zeta2_integral_rep(2.0, p)
 
 
 class TestDerivativesAtZero:

@@ -80,8 +80,9 @@ class TestEval:
 
     def test_dominated_methods_are_usage_errors(self):
         # Euler-Maclaurin beats the direct sum and the integral
-        # representation on both speed and accuracy; neither is served
-        for method in ("direct", "integral"):
+        # representation on both speed and accuracy; neither is served,
+        # and with one route left eval takes no --method at all
+        for method in ("direct", "integral", "auto", "em"):
             with pytest.raises(SystemExit) as exc:
                 main(["eval", "--method", method, "--s", "2.5", "--alpha",
                       "1", "--v", "1", "--w", "1"])
@@ -93,6 +94,7 @@ class TestEval:
                                         "--v", "1", "--w", "1"])
         assert code == 0
         assert rec["method"] == "em"
+        assert "method" not in rec["command"]
         assert abs(rec["value"]["re"] - ZETA2) < 1e-12
 
     def test_complex_s_with_leading_minus(self, capsys):
@@ -286,6 +288,18 @@ class TestNonFiniteParameters:
         assert code == 64
         assert rec is None
         assert "finite and positive" in err
+
+
+class TestNonFiniteS:
+    @pytest.mark.parametrize("s", ["--s=1e400", "--s=2+1e400i", "--s=-1e400"])
+    def test_usage_error(self, capsys, s):
+        # 1e400 parses as inf, which eval refuses before any arithmetic
+        # rather than carry it to "truncation error up to nan" (exit 3)
+        code, rec, err = run_cli(capsys, ["eval", s, "--alpha", "1",
+                                          "--v", "1", "--w", "1"])
+        assert code == 64
+        assert rec is None
+        assert "s must be finite" in err
 
 
 class TestVerify:

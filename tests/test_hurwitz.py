@@ -15,7 +15,7 @@ from barneszeta import (
     zeta2,
 )
 from barneszeta.config import HURWITZ_J, HURWITZ_M
-from barneszeta.errors import AccuracyError, PoleError
+from barneszeta.errors import AccuracyError, DomainError, PoleError
 from barneszeta.numerics import (_JET_REL_ERR, _head_length, _hurwitz_jet,
                                  _jet_pow)
 
@@ -165,6 +165,10 @@ class TestHurwitzZeta:
         for a in (math.inf, math.nan, [0.5, math.inf]):
             with pytest.raises(ValueError, match="finite and positive"):
                 hurwitz_zeta(2.0, a)
+        # so is a non-finite s, before any arithmetic
+        for s in (math.inf, math.nan, complex(2.0, math.inf), [2.0, math.inf]):
+            with pytest.raises(DomainError, match="s must be finite"):
+                hurwitz_zeta(s, 0.5)
 
 
 class TestStieltjes:

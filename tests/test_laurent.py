@@ -24,9 +24,19 @@ from barneszeta import (
 from barneszeta import barnes, hurwitz, laurent, numerics
 from barneszeta.numerics import _hurwitz_jet
 from barneszeta.laurent import _limit_formula
+from barneszeta.verify import TOL_INTEGRAL, _make_check
 
 from conftest import (EULER, LAURENT_LOPSIDED_S1, LAURENT_V_EQ_W,
-                      RAW_STIELTJES_1, ZETA_PRIME_0)
+                      RAW_STIELTJES_1, ZETA_PRIME_0, gamma0_at_2_by_terms)
+
+# extreme weights and alpha: both lopsided orders, equal small and equal
+# large weights, the certify anchor, w/v = 40, and two triples whose g_4(1)
+# samples once jumped under the fitted limit route
+EXTREME_TRIPLES = [
+    (0.1, 4.9, 0.1), (0.1, 0.1, 4.9), (0.1, 0.1, 0.1), (5.0, 5.0, 5.0),
+    (2.5, 0.5, 2.5),
+    (3.1075792861307994, 0.11289069276886864, 4.560995172522605),
+    (1.569, 2.171, 0.239), (3.5667, 0.10588, 2.5665)]
 
 
 class TestResidues:
@@ -148,10 +158,23 @@ class TestGamma0At2Integral:
     def test_unit_parameters_euler(self):
         assert abs(gamma0_at_2_integral(BarnesParams(1, 1, 1)) - EULER) < 1e-8
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_matches_jet(self, fixed_suite):
-        for p in fixed_suite:
-            exp = laurent_at_2(p, 0)
-            assert abs(gamma0_at_2_integral(p) - exp.gammas[0]) < 1e-6
+        # verify's own check at TOL_INTEGRAL; worst min(abs, rel) seen
+        # 3.4e-14, at (1; 1, 1)
+        for p in [*fixed_suite, *(BarnesParams(*t) for t in EXTREME_TRIPLES)]:
+            check = _make_check("gamma0_integral_rep", laurent_at_2(p, 0).gammas[0],
+                                gamma0_at_2_integral(p), TOL_INTEGRAL)
+            assert check.passed, (p, check)
+
+    def test_against_terms(self):
+        # the boundary-layer cancellation and the one Hurwitz call change
+        # only the rounding: worst seen 5.0e-16 relative
+        for triple in [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1), (0.1, 5.0, 5.0),
+                       (1.0, 0.01, 5.0), *EXTREME_TRIPLES]:
+            p = BarnesParams(*triple)
+            ref = gamma0_at_2_by_terms(p)
+            assert abs(gamma0_at_2_integral(p) - ref) <= 1e-14 * abs(ref), p
 
     def test_one_hurwitz_call(self, monkeypatch):
         # zeta_H(s, alpha/v), zeta_H(s, alpha/w), the 1-D closed form's
@@ -188,12 +211,15 @@ class TestGammakAt2Limit:
     @pytest.mark.parametrize("triple", [
         (1.0, 1.0, 1.0), (0.5, 1.0, 1.0), (1.0, 1.0, 2.0), (2.0, 3.0, 1.0),
         (0.7, 1.3, 2.1), (2.5, 0.5, 2.5), (0.1, 4.9, 0.1), (0.1, 0.1, 4.9),
-        (5.0, 5.0, 5.0), (1.569, 2.171, 0.239), (3.5667, 0.10588, 2.5665)])
+        (5.0, 5.0, 5.0), (1.569, 2.171, 0.239), (3.5667, 0.10588, 2.5665),
+        (0.1, 0.1, 0.1),
+        (3.1075792861307994, 0.11289069276886864, 4.560995172522605)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_err_bounds_error(self, triple):
         # the fixed five, the certify anchor, both lopsided triples, large
-        # alpha, and two triples whose g_4(1) samples once jumped at M =
-        # 1024: the reported err plus the jet's bar covers the gap, about
-        # either pole
+        # alpha, two triples whose g_4(1) samples once jumped at M = 1024,
+        # small equal weights and w/v = 40: the reported err plus the jet's
+        # bar covers the gap, about either pole; worst ratio seen 0.24
         p = BarnesParams(*triple)
         for center, jet, limit in ((2, laurent_at_2, gammak_at_2_limit),
                                    (1, laurent_at_1, gammak_at_1_limit)):
@@ -270,15 +296,11 @@ class TestGammakAt2Limit:
         assert count == [363], count
 
     def test_pole_slot_is_residue(self, fixed_suite):
-        # the route's own pole slot, on the fixed five and the eight
-        # triples of the CI limit-formula step: at s = 1 it is (M+1)/hi
-        # of the rows cancelled against the series', and lands within
-        # 1e-12 of the closed form all the same
-        ci = [(0.1, 4.9, 0.1), (0.1, 0.1, 4.9), (0.1, 0.1, 0.1),
-              (5.0, 5.0, 5.0), (2.5, 0.5, 2.5),
-              (3.1075792861307994, 0.11289069276886864, 4.560995172522605),
-              (1.569, 2.171, 0.239), (3.5667, 0.10588, 2.5665)]
-        for p in [*fixed_suite, *(BarnesParams(*t) for t in ci)]:
+        # the route's own pole slot, on the fixed five and the extreme
+        # triples: at s = 1 it is (M+1)/hi of the rows cancelled against
+        # the series', and lands within 1e-12 of the closed form all the
+        # same
+        for p in [*fixed_suite, *(BarnesParams(*t) for t in EXTREME_TRIPLES)]:
             for limit, residue in ((gammak_at_2_limit, residue_at_2),
                                    (gammak_at_1_limit, residue_at_1)):
                 exp, res = limit(p, 4), residue(p)

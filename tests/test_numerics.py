@@ -308,6 +308,9 @@ class TestFracPart1D:
         for a, c in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
             with pytest.raises(ValueError, match="finite and positive"):
                 frac_part_integral_1d(a, c, 2.5)
+        for s in (math.inf, math.nan, complex(2.5, math.inf)):
+            with pytest.raises(DomainError, match="s must be finite"):
+                frac_part_integral_1d(1.0, 1.0, s)
 
 
 class TestFracPart2D:
@@ -338,6 +341,9 @@ class TestFracPart2D:
                        (1.0, 1.0, math.inf), (1.0, math.nan, 1.0)):
             with pytest.raises(ValueError, match="finite and positive"):
                 frac_part_integral_2d(*triple, 4.0)
+        for s in (math.inf, math.nan, complex(4.0, math.inf)):
+            with pytest.raises(DomainError, match="s must be finite"):
+                frac_part_integral_2d(1.0, 1.0, 1.0, s)
 
     def test_refusals(self):
         # the cell budget is checked before any Hurwitz work; below it, the
@@ -346,6 +352,23 @@ class TestFracPart2D:
             frac_part_integral_2d(1.0, 1.0, 1.0, 3.5 + 1e6j)
         with pytest.raises(AccuracyError, match="Euler-Maclaurin"):
             frac_part_integral_2d(1.0, 1.0, 1.0, 3.5 + 300j)
+
+    def test_two_chunks_match_one_call(self, monkeypatch):
+        # 8,431 Hurwitz points: calls of 8,192 and 239, and the same bits
+        # as one call over all of them, as a batch equals scalar calls
+        sizes = []
+
+        def counted(c, a, n, poch=None):
+            sizes.append(np.size(c))
+            return _hurwitz_jet(c, a, n, poch)
+
+        monkeypatch.setattr(numerics, "_hurwitz_jet", counted)
+        args = (0.1, 5.0, 5.0, 4.5 + 185j)
+        split = frac_part_integral_2d(*args, with_error=True)
+        assert sizes == [8192, 239], sizes
+        monkeypatch.setattr(numerics, "_CHUNK", 1 << 20)
+        assert frac_part_integral_2d(*args, with_error=True) == split
+        assert sizes[2:] == [8431], sizes
 
     def test_one_hurwitz_call(self, monkeypatch):
         # the boundary layer's zeta_H and the nodes share one call

@@ -13,6 +13,7 @@ from barneszeta import (
     VerificationReport,
     default_parameter_suite,
     run_suites,
+    stieltjes_constants,
     verify_bounds,
     verify_reduction,
     verify_theorem1,
@@ -77,6 +78,50 @@ class TestCheckPlumbing:
         assert ok.error is None
         legacy = {k: v for k, v in ok.to_dict().items() if k != "error"}
         assert Check.from_dict(legacy) == ok
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("suite, failed, passed", [
+        (verify_theorem1,
+         ["gamma0_limit_formula", "gamma1_limit_formula", "gamma2_limit_formula"],
+         ["gamma0_integral_rep", "residue_s2"]),
+        (verify_theorem1_s1,
+         ["gamma0_limit_formula_s1", "gamma1_limit_formula_s1"],
+         ["residue_s1"])])
+    def test_limit_refusal_fails_its_checks(self, suite, failed, passed):
+        # w/v = 500: the limit formula refuses, and each of its checks
+        # records the refusal; the jet's checks still run and pass
+        rep = suite(BarnesParams(1, 0.01, 5))
+        by_id = {c.id: c for c in rep.checks}
+        assert sorted(by_id) == sorted(failed + passed)
+        for cid in failed:
+            assert not by_id[cid].passed
+            assert "far-quadrant series is off by up to" in by_id[cid].error
+        for cid in passed:
+            assert by_id[cid].passed and by_id[cid].error is None
+        assert not rep.passed
+        # the failed checks' NaN sides survive the JSON round trip
+        back = VerificationReport.from_json(rep.to_json())
+        assert back.to_json() == rep.to_json() and not back.passed
+
+    @pytest.mark.parametrize("suite, route, cid", [
+        (verify_theorem1, "laurent_at_2", "residue_s2"),
+        (verify_theorem1_s1, "laurent_at_1", "residue_s1"),
+        (verify_theorem2_derivative, "_alpha_slope", "deriv_suite"),
+        (verify_theorem2_altsum, "_alpha_slope", "altsum_suite"),
+        (lambda p: verify_reduction(p, [3.0 + 1j]), "zeta2",
+         "reduction_00_s=3+1i")])
+    def test_raising_route_is_one_failed_check(self, monkeypatch, suite,
+                                               route, cid):
+        import barneszeta.verify as verify_mod
+
+        def broken(*args):
+            raise ArithmeticError("route went away")
+
+        monkeypatch.setattr(verify_mod, route, broken)
+        rep = suite(BarnesParams(1, 1, 1))
+        assert [(c.id, c.passed, c.error) for c in rep.checks] == [
+            (cid, False, "route went away")]
 
 
 class TestReport:
@@ -308,6 +353,19 @@ class TestBounds:
         rep = verify_bounds()
         assert rep.passed
         assert len(rep.checks) == 4 * 10 + 10
+
+    def test_one_table_per_a(self, monkeypatch):
+        # the Riemann bounds read the a = 1 table of the Hurwitz loop
+        import barneszeta.verify as verify_mod
+        calls = []
+
+        def counted(a, k_max):
+            calls.append(a)
+            return stieltjes_constants(a, k_max)
+
+        monkeypatch.setattr(verify_mod, "stieltjes_constants", counted)
+        assert verify_bounds().passed
+        assert calls == [0.1, 0.3, 0.5, 1.0], calls
 
 
 class TestRunSuites:
