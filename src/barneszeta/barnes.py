@@ -59,6 +59,8 @@ def zeta2_direct(s, p: BarnesParams, M: int, with_error: bool = False):
     2^-52 (|s| max |log A| + log2 of the term count) times sum |A^-s|.
     """
     s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise DomainError("s must be finite")
     if s.real <= 2:
         raise DomainError("zeta2_direct requires Re(s) > 2")
     if M < 0:

@@ -2,10 +2,11 @@
 s = 1, from the Euler-Maclaurin jet, by finite-M limit formulas at either
 pole, and the constant term at s = 2 by the paper's integral
 representation of zeta_2, which the package uses nowhere else.  The
-limit formulas sum M+1 = 363 Hurwitz rows of the lattice, one Hurwitz
-call for every order, and add the far quadrant beyond them, one shifted
-double zeta, from its large-A asymptotic series.  No fit or
-extrapolation in M is left.
+limit formulas sum the M+1 Hurwitz rows of the lattice nearest the
+origin, one Hurwitz call for every order, with M the least that puts the
+far quadrant beyond them at least 6 max(v, w) out, and add that
+quadrant, one shifted double zeta, from its large-A asymptotic series.
+No fit or extrapolation in M is left.
 
 Coefficients are raw Laurent coefficients:
 
@@ -21,8 +22,9 @@ import numpy as np
 
 from .barnes import BarnesParams, _zeta2_jet
 from .errors import AccuracyError
-from .numerics import (_B_FACT, _JET_REL_ERR, _frac_1d, _hurwitz_jet, _jet_mul,
-                       _jet_pow, _jet_recip, _sawtooth_2d, _sum_in_order)
+from .numerics import (_B_FACT, _CHUNK, _JET_REL_ERR, _frac_1d, _hurwitz_jet,
+                       _jet_mul, _jet_pow, _jet_recip, _sawtooth_2d,
+                       _sum_in_order)
 
 __all__ = [
     "LaurentExpansion",
@@ -195,22 +197,31 @@ def _limit_formula(p: BarnesParams, center: int, k_max: int):
     n are Hurwitz zetas and the rows m > M a shifted double zeta, exactly:
         zeta_2(s, alpha) = hi^(-s) sum_{m<=M} zeta_H(s, (alpha+m lo)/hi)
                            + zeta_2(s, alpha+(M+1) lo).
-    At M = 362 the M+1 rows are one ``_hurwitz_jet`` call summed in row
-    order, and the shifted double zeta is ``_far_series``; g_k(c) is slot
-    k of their sum, with no fit, the pole slot g_{-1} included.  err, per
-    slot, is the series' truncation error plus 2^-50 times the summed
-    magnitudes of the rows (times |hi^(-s)|) and of the series' terms.
-    Raises AccuracyError where the truncation error exceeds the jet's floor
-    _JET_REL_ERR max(1, |g_k|), k >= 0, as w/v is too far from 1, and
-    ValueError where alpha+(v+w)*362 >= 1e15: beyond it the log powers
-    cancel badly.  Returns a LaurentExpansion, method "limit_formula".
+    M is the least M >= 0 whose far start A = alpha+(M+1) lo is at least
+    6 hi, M = max(0, ceil((6 hi - alpha)/lo) - 1), where the series'
+    smallest term is about e^(-12 pi) ~ 4e-17 of its first.  The M+1 rows
+    are one ``_hurwitz_jet`` call summed in row order, and the shifted
+    double zeta is ``_far_series``; g_k(c) is slot k of their sum, with no
+    fit, the pole slot g_{-1} included.  err, per slot, is the series'
+    truncation error plus 2^-50 times the summed magnitudes of the rows
+    (times |hi^(-s)|) and of the series' terms.  Raises AccuracyError, as
+    w/v is too far from 1, where M+1 exceeds the 2-D rule's row budget
+    ``_CHUNK`` (hi/lo above about 1,365) or the truncation error exceeds
+    the jet's floor _JET_REL_ERR max(1, |g_k|), k >= 0, and ValueError
+    where alpha+(v+w)*M >= 1e15: beyond it the log powers cancel badly.
+    Returns a LaurentExpansion, method "limit_formula".
     """
     if not 0 <= k_max <= 4:
         raise ValueError("k_max must be in 0..4")
-    m = 362
-    if p.alpha + (p.v + p.w) * m >= 1e15:
-        raise ValueError(f"alpha + (v+w)*{m} must be below 1e15")
     lo, hi = min(p.v, p.w), max(p.v, p.w)
+    # float until it is known to fit: hi/lo may overflow it to inf
+    m = max(0.0, np.ceil((6.0 * hi - p.alpha) / lo) - 1.0)
+    if m + 1 > _CHUNK:
+        raise AccuracyError(f"limit formula needs M = {m:.6g}, beyond "
+                            f"{_CHUNK} rows: w/v is too far from 1")
+    m = int(m)
+    if p.alpha + (p.v + p.w) * m >= 1e15:
+        raise ValueError(f"alpha + (v+w)*M must be below 1e15, at M = {m}")
     # a pole of the rows at s = 1 needs one order more of hi^(-s)
     n = k_max + (center == 1)
     rows = _hurwitz_jet(center, (p.alpha + lo * np.arange(m + 1)) / hi, n)

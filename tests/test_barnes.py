@@ -78,6 +78,16 @@ class TestDirect:
         with pytest.raises(DomainError):
             zeta2_direct(2.0, BarnesParams(1, 1, 1), 100)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf,
+                                   complex(3.0, math.inf),
+                                   complex(3.0, math.nan)])
+    @pytest.mark.parametrize("with_error", [False, True])
+    def test_non_finite_s_refused(self, s, with_error):
+        # refused before any arithmetic: NaN and inf pass Re(s) > 2 or
+        # fail it, and the sum and its bound would both read NaN
+        with pytest.raises(DomainError, match="s must be finite"):
+            zeta2_direct(s, BarnesParams(1, 1, 1), 10, with_error=with_error)
+
 
 class TestZeta2:
     def test_equal_weights_reduction(self):

@@ -187,14 +187,15 @@ class TestLaurent:
 
     @pytest.mark.parametrize("pole", ["1", "2"])
     def test_limit_refuses_huge_weights(self, capsys, pole):
-        # alpha + (v+w)*max(M) at or above 1e15 is a usage error at either
+        # alpha + (v+w)*M at or above 1e15 is a usage error at either
         # pole: the log powers would cancel badly
         code, rec, err = run_cli(capsys, ["laurent", "--pole", pole,
-                                          "--method", "limit", "--alpha", "1",
-                                          "--v", "2e12", "--w", "2e12"])
+                                          "--method", "limit",
+                                          "--alpha", "1e15", "--v", "1",
+                                          "--w", "1"])
         assert code == 64
         assert rec is None
-        assert "alpha + (v+w)*362 must be below 1e15" in err
+        assert "alpha + (v+w)*M must be below 1e15, at M = 0" in err
 
     def test_limit_method_pole1(self, capsys):
         code, rec, _ = run_cli(capsys, ["laurent", "--pole", "1",
@@ -208,17 +209,18 @@ class TestLaurent:
                 <= rec["est_errors"][0] + 1e-9)
 
     def test_limit_refusal_is_accuracy_error(self, capsys):
-        # w/v = 500: the far-quadrant series at M = 362 stops shrinking
-        # far above the jet's floor, and the limit formula refuses rather
-        # than return it, at either pole
+        # w/v = 1e4 needs M = 49,999, past the row budget of 8,192: the
+        # limit formula refuses rather than grow its memory, at either
+        # pole
         for pole in ("1", "2"):
             code, rec, err = run_cli(capsys, ["laurent", "--pole", pole,
                                               "--method", "limit",
-                                              "--alpha", "1", "--v", "0.01",
-                                              "--w", "5"])
+                                              "--alpha", "1", "--v", "1e-4",
+                                              "--w", "1"])
             assert code == 3
             assert rec is None
-            assert "far-quadrant series is off by up to" in err
+            assert ("limit formula needs M = 49999, beyond 8192 rows: "
+                    "w/v is too far from 1") in err
 
     def test_former_refusal_now_within_err(self, capsys):
         # the fitted route refused g_3(1) on this triple; now every k <= 4

@@ -22,9 +22,10 @@ from barneszeta import (
     zeta2,
 )
 from barneszeta import barnes, hurwitz, laurent, numerics
+from barneszeta.errors import AccuracyError
 from barneszeta.numerics import _hurwitz_jet
 from barneszeta.laurent import _limit_formula
-from barneszeta.verify import TOL_INTEGRAL, _make_check
+from barneszeta.verify import TOL_INTEGRAL, TOL_LIMIT, _make_check
 
 from conftest import (EULER, LAURENT_LOPSIDED_S1, LAURENT_V_EQ_W,
                       RAW_STIELTJES_1, ZETA_PRIME_0, gamma0_at_2_by_terms)
@@ -228,7 +229,7 @@ class TestGammakAt2Limit:
                 gap = abs(val - exp.gammas[k])
                 assert gap <= err + exp.errs[k], (center, k, gap, err)
 
-    def test_counterterm_jet_pole_is_residue(self):
+    def test_far_series_pole_is_residue(self):
         # the rows carry a pole (M+1)/hi at s = 1 and none at s = 2, so
         # the series carries the pole of zeta_2(s, A) itself: its residue,
         # whatever the start A
@@ -245,19 +246,28 @@ class TestGammakAt2Limit:
     @pytest.mark.parametrize("triple", [(0.7, 1.3, 2.1), (0.1, 4.9, 0.1),
                                         (3.5667, 0.10588, 2.5665)])
     def test_far_series_matches_jet(self, triple):
-        # the far quadrant, zeta_2(s, alpha+363 lo; v, w), from its
-        # large-A series against the Euler-Maclaurin jet, slots
-        # eps^-1..eps^4, about either pole
+        # the far quadrant, zeta_2(s, A; v, w), from its large-A series
+        # against the Euler-Maclaurin jet, slots eps^-1..eps^4, about
+        # either pole: at the route's own start A >= 6 hi its cut term is
+        # about e^(-12 pi) ~ 4e-17 of its largest, and further out, at
+        # alpha + 363 lo, below 1e-18
         p = BarnesParams(*triple)
-        start = p.alpha + 363 * min(p.v, p.w)
-        for center in (1, 2):
-            series, trunc, _ = laurent._far_series(p, center, start, 4)
-            # the jet's top slot is not exact next to a pole: one more
-            jet = barnes._zeta2_jet(float(center), BarnesParams(start, p.v, p.w),
-                                    5)[:6]
-            assert trunc < 1e-18
-            assert np.all(np.abs(series - jet) <= 1e-13 * np.abs(jet)), \
-                (center, np.abs(series / jet - 1))
+        lo, hi = min(p.v, p.w), max(p.v, p.w)
+        m = max(0, math.ceil((6 * hi - p.alpha) / lo) - 1)
+        for start, cut in ((p.alpha + (m + 1) * lo, 4e-17),
+                           (p.alpha + 363 * lo, None)):
+            assert start >= 6 * hi
+            for center in (1, 2):
+                series, trunc, _ = laurent._far_series(p, center, start, 4)
+                # the jet's top slot is not exact next to a pole: one more
+                jet = barnes._zeta2_jet(float(center),
+                                        BarnesParams(start, p.v, p.w), 5)[:6]
+                if cut is None:
+                    assert trunc < 1e-18
+                else:
+                    assert trunc <= cut * np.max(np.abs(series)), trunc
+                assert np.all(np.abs(series - jet) <= 1e-13 * np.abs(jet)), \
+                    (center, np.abs(series / jet - 1))
 
     def test_no_outer_row_sum(self, monkeypatch):
         # the route shares only the Hurwitz evaluator with the jet: it
@@ -283,7 +293,8 @@ class TestGammakAt2Limit:
                     == _limit_formula(p.swapped(), center, 4))
 
     def test_hurwitz_work_of_default_limit(self, monkeypatch):
-        # one call for the M+1 = 363 Hurwitz rows and nothing else
+        # one call for the M+1 Hurwitz rows and nothing else; M+1 is the
+        # least row count whose far start alpha+(M+1) lo is at least 6 hi
         count = []
 
         def counted(c, a, n, poch=None):
@@ -292,8 +303,10 @@ class TestGammakAt2Limit:
 
         monkeypatch.setattr(barnes, "_hurwitz_jet", counted)
         monkeypatch.setattr(laurent, "_hurwitz_jet", counted)
-        gammak_at_2_limit(BarnesParams(0.7, 1.3, 2.1), 2)
-        assert count == [363], count
+        for triple, rows in (((0.7, 1.3, 2.1), 10), ((1.0, 0.01, 5.0), 2900)):
+            count.clear()
+            gammak_at_2_limit(BarnesParams(*triple), 2)
+            assert count == [rows], (triple, count)
 
     def test_pole_slot_is_residue(self, fixed_suite):
         # the route's own pole slot, on the fixed five and the extreme
@@ -314,10 +327,61 @@ class TestGammakAt2Limit:
         with pytest.raises(ValueError):
             gammak_at_2_limit(p, -1)
         # alpha + (v+w)M at or above 1e15 is refused, not thinned out
-        with pytest.raises(ValueError, match=r"alpha \+ \(v\+w\)\*362"):
-            gammak_at_2_limit(BarnesParams(1, 2e12, 2e12), 0)
+        with pytest.raises(ValueError, match=r"alpha \+ \(v\+w\)\*M must "
+                                             r"be below 1e15, at M = 0"):
+            gammak_at_2_limit(BarnesParams(1e15, 1, 1), 0)
+        # large equal weights need M = 5 only, and are within err at
+        # either pole
+        p = BarnesParams(1, 2e12, 2e12)
+        for jet, limit in ((laurent_at_2, gammak_at_2_limit),
+                           (laurent_at_1, gammak_at_1_limit)):
+            exp, lim = jet(p, 4), limit(p, 4)
+            for val, err, ref, bar in zip(lim.gammas, lim.errs, exp.gammas,
+                                          exp.errs):
+                assert abs(val - ref) <= err + bar
+
+    def test_series_truncation_refusal(self, monkeypatch):
+        # the far series' own refusal, a safety net that no start at
+        # A >= 6 hi reaches: forced here by a truncation error of 1e-3
+        far = laurent._far_series
+
+        def short(*args):
+            series, _, scale = far(*args)
+            return series, 1e-3, scale
+
+        monkeypatch.setattr(laurent, "_far_series", short)
+        for limit in (gammak_at_2_limit, gammak_at_1_limit):
+            with pytest.raises(AccuracyError, match="far-quadrant series is "
+                                                    "off by up to 0.001"):
+                limit(BarnesParams(0.7, 1.3, 2.1), 2)
 
     def test_orders_beyond_four_rejected(self):
         # the values and their err are only checked up to k = 4
         with pytest.raises(ValueError):
             gammak_at_2_limit(BarnesParams(1, 1, 1), 5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_seeded_sweep(self):
+        # 200 random triples in (0.1, 5]^3 and the named ones, w/v = 500
+        # among them (M = 2,899), at both poles, k <= 4: none refused,
+        # every gap within err plus the jet's bar (worst ratio seen 0.037),
+        # and the worst min(abs, rel) gap 7.3e-13, 1/30 of TOL_LIMIT or less
+        rng = np.random.default_rng(20261020)
+        triples = [tuple(0.1 + 4.9 * rng.random(3)) for _ in range(200)]
+        triples += [(0.1, 4.9, 0.1), (0.1, 0.1, 4.9), (1.0, 0.01, 5.0),
+                    (5.0, 0.1, 5.0), (0.1, 0.1, 0.1), (1.0, 1.0, 1.0),
+                    (3.1075792861307994, 0.11289069276886864,
+                     4.560995172522605),
+                    (1.569, 2.171, 0.239), (3.5667, 0.10588, 2.5665)]
+        worst = 0.0
+        for triple in triples:
+            p = BarnesParams(*triple)
+            for jet, limit in ((laurent_at_2, gammak_at_2_limit),
+                               (laurent_at_1, gammak_at_1_limit)):
+                exp, lim = jet(p, 4), limit(p, 4)
+                for val, err, ref, bar in zip(lim.gammas, lim.errs,
+                                              exp.gammas, exp.errs):
+                    gap = abs(val - ref)
+                    assert gap <= err + bar, (triple, limit, gap, err)
+                    worst = max(worst, min(gap, gap / abs(ref)))
+        assert worst <= TOL_LIMIT / 30, worst

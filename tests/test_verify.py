@@ -89,14 +89,16 @@ class TestFailurePaths:
          ["gamma0_limit_formula_s1", "gamma1_limit_formula_s1"],
          ["residue_s1"])])
     def test_limit_refusal_fails_its_checks(self, suite, failed, passed):
-        # w/v = 500: the limit formula refuses, and each of its checks
-        # records the refusal; the jet's checks still run and pass
-        rep = suite(BarnesParams(1, 0.01, 5))
+        # w/v = 1e4: the limit formula refuses, as it needs more rows than
+        # its budget, and each of its checks records the refusal; the
+        # jet's checks still run and pass
+        rep = suite(BarnesParams(1, 1e-4, 1))
         by_id = {c.id: c for c in rep.checks}
         assert sorted(by_id) == sorted(failed + passed)
         for cid in failed:
             assert not by_id[cid].passed
-            assert "far-quadrant series is off by up to" in by_id[cid].error
+            assert "w/v is too far from 1" in by_id[cid].error
+            assert "M = 49999" in by_id[cid].error
         for cid in passed:
             assert by_id[cid].passed and by_id[cid].error is None
         assert not rep.passed
@@ -192,7 +194,7 @@ class TestTheorem1:
 
     def test_lopsided_limit_formula_to_k4(self):
         # w/v = 40: the fitted route was 1.04e-5 relative off at k = 4 under
-        # a first-order counterterm; 363 Hurwitz rows and the far
+        # a first-order counterterm; Hurwitz rows out to 6 hi and the far
         # quadrant's series bring it to about 1e-14, well inside TOL_LIMIT
         rep = verify_theorem1(BarnesParams(3.1075792861307994,
                                            0.11289069276886864,
