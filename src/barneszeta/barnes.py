@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DIRECT_M, EM_ORDER, HURWITZ_J
+from .config import EM_ORDER, HURWITZ_J
 from .errors import AccuracyError, DomainError, PoleError
 from .numerics import (
     _center,
@@ -98,9 +98,9 @@ def _row_sum_jet(c, alpha, v, w, n: int):
     alpha; zeta_2 = w^(-s) T.  T has poles at s = 1, 2, where its top slot
     is not exact.
 
-    zeta_H(s, A) obeys the rules of A^(-s), so ``_em_tail`` sums (or
-    refuses) the rows beyond 1 to DIRECT_M head rows (``_head_length``,
-    power 1) with h = v/w.  One Hurwitz jet call covers the heads, zeroed
+    zeta_H(s, A) obeys the rules of A^(-s), so ``_em_tail`` sums the rows
+    beyond at least one head row, as many as ``_head_length`` (power 1)
+    asks for with h = v/w.  One Hurwitz jet call covers the heads, zeroed
     beyond each element's own and summed in row order, and the cut shifts
     zeta_H(s+k, a_R), k = -1, 0, 1, 3, ..., 2 EM_ORDER+1, so a batch is
     bitwise equal to scalar calls.  One rising-factorial table (``_rising``)
@@ -109,7 +109,7 @@ def _row_sum_jet(c, alpha, v, w, n: int):
     (c)_1..(c)_{2 EM_ORDER+1} of the outer tail, with the same bits.
     """
     c, alpha = _center(c), np.asarray(alpha, dtype=float)
-    size = np.maximum(_head_length(c, alpha / w, v / w, EM_ORDER, 1, DIRECT_M), 1)
+    size = np.maximum(_head_length(c, alpha / w, v / w, EM_ORDER, 1), 1)
     row_axis = (-1,) + (1,) * size.ndim  # the row index R, ahead of E
     m = np.arange(size.max(initial=0)).reshape(row_axis)
     shifts = np.array([0] * len(m) + [-1, 0, *range(1, 2 * EM_ORDER + 2, 2)])

@@ -2,9 +2,11 @@
 
 Subcommands: eval, laurent, special, verify.  Output is JSON on stdout
 (schema_version "1"); verify can also write CSV.  Every record echoes the
-fixed truncations as ``config``; there are no precision flags.  Exit codes:
-0 success, 1 verification failure, 2 pole hit, 3 accuracy not reached
-(s beyond the evaluators' reach), 64 usage error.
+fixed truncations as ``config``; the head lengths follow (s, a) and are
+not among them, and there are no precision flags.  Exit codes: 0 success,
+1 verification failure, 2 pole hit, 3 accuracy not reached (s or the
+weights beyond the evaluators' reach, or a non-finite result), 64 usage
+error.
 """
 
 from __future__ import annotations

@@ -70,25 +70,37 @@ class LaurentExpansion:
         return out
 
 
+def _weight_product(p: BarnesParams) -> float:
+    vw = p.v * p.w
+    if vw == 0.0:
+        raise ValueError("v*w underflows to 0")
+    return vw
+
+
 def residue_at_2(p: BarnesParams) -> float:
     """Exact residue of zeta_2 at s = 2."""
-    return 1.0 / (p.v * p.w)
+    return 1.0 / _weight_product(p)
 
 
 def residue_at_1(p: BarnesParams) -> float:
     """Exact residue of zeta_2 at s = 1."""
-    return (p.v + p.w - 2.0 * p.alpha) / (2.0 * p.v * p.w)
+    return (p.v + p.w - 2.0 * p.alpha) / (2.0 * _weight_product(p))
 
 
 def _read_slots(center, slots, errs, exact_residue, method):
     """The record of slots eps^-1..eps^k of a jet about s = center, with
-    their errors errs (one per slot, or one for all)."""
+    their errors errs (one per slot, or one for all).  Raises
+    AccuracyError where a value or an error is not finite."""
     errs = np.broadcast_to(errs, slots.shape)
     g_m1 = float(slots[0])
+    err_m1 = float(errs[0]) + abs(g_m1 - exact_residue)
+    if not np.all(np.isfinite([*slots, *errs, err_m1])):
+        raise AccuracyError(f"Laurent record about s = {center} is not finite",
+                            value=slots)
     return LaurentExpansion(
         center=center,
         gamma_minus1=g_m1,
-        err_minus1=float(errs[0]) + abs(g_m1 - exact_residue),
+        err_minus1=err_m1,
         gammas=tuple(map(float, slots[1:])),
         errs=tuple(map(float, errs[1:])),
         method=method,
@@ -204,8 +216,9 @@ def _limit_formula(p: BarnesParams, center: int, k_max: int):
     double zeta is ``_far_series``; g_k(c) is slot k of their sum, with no
     fit, the pole slot g_{-1} included.  err, per slot, is the series'
     truncation error plus 2^-50 times the summed magnitudes of the rows
-    (times |hi^(-s)|) and of the series' terms.  Raises AccuracyError, as
-    w/v is too far from 1, where M+1 exceeds the 2-D rule's row budget
+    (times |hi^(-s)|) and of the series' terms.  Raises AccuracyError
+    where a slot or its error is not finite (``_read_slots``) and, as w/v
+    is too far from 1, where M+1 exceeds the 2-D rule's row budget
     ``_CHUNK`` (hi/lo above about 1,365) or the truncation error exceeds
     the jet's floor _JET_REL_ERR max(1, |g_k|), k >= 0, and ValueError
     where alpha+(v+w)*M >= 1e15: beyond it the log powers cancel badly.
@@ -230,13 +243,15 @@ def _limit_formula(p: BarnesParams, center: int, k_max: int):
     scale = _jet_mul(np.abs(power), _sum_in_order(np.abs(rows)))[:k_max + 2]
     far, trunc, far_scale = _far_series(p, center, p.alpha + (m + 1) * lo, k_max)
     g = heads + far
+    err = trunc + 2.0 ** -50 * (scale + far_scale)
+    exact = residue_at_2(p) if center == 2 else residue_at_1(p)
+    # a non-finite slot refuses first, under its own name
+    record = _read_slots(center, g, err, exact, "limit_formula")
     if not trunc <= _JET_REL_ERR * np.min(np.maximum(1.0, np.abs(g[1:]))):
         raise AccuracyError(f"limit formula at M = {m}: the far-quadrant series "
                             f"is off by up to {trunc:.3g}, as w/v is too far from 1",
                             value=g[1:], achieved=float(trunc))
-    err = trunc + 2.0 ** -50 * (scale + far_scale)
-    exact = residue_at_2(p) if center == 2 else residue_at_1(p)
-    return _read_slots(center, g, err, exact, "limit_formula")
+    return record
 
 
 def gammak_at_2_limit(p: BarnesParams, k_max: int) -> LaurentExpansion:

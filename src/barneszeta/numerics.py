@@ -15,8 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import (HURWITZ_J, HURWITZ_M, QUAD_CELL_ORDER, QUAD_MAX_CELLS,
-                     QUAD_TAIL_TOL)
+from .config import HURWITZ_J, QUAD_CELL_ORDER, QUAD_MAX_CELLS, QUAD_TAIL_TOL
 from .errors import AccuracyError, DomainError
 
 __all__ = [
@@ -31,6 +30,9 @@ __all__ = [
 ]
 
 _BERNOULLI_MAX = 64
+# the row budget, which bounds the jets' memory: the longest Euler-Maclaurin
+# head and head block, the limit formula's rows, the 2-D rule's points a call
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -158,38 +160,40 @@ def _jet_recip(c, n: int):
     return np.concatenate([pole[None], np.where(pole, 0.0, taylor)])
 
 
-def _head_length(c, a, h, j_len: int, power: int, cap: int):
+def _head_length(c, a, h, j_len: int, power: int):
     """Terms to sum before the Euler-Maclaurin cut A = a + h*N, per element.
 
     The smallest N whose bound on the first omitted correction of
     ``_em_tail`` (j = J+1), summed over every jet slot, is at most
-    2^-53 min(1, A^(power-Re c)), the size of the leading tail term; N = cap
-    where the bound cannot be met by then.  For A >= 1 the slot sums of a
-    jet product are at most the product of the slot sums: (s)_{2J+1} gives
-    prod_{i<=2J} (|c+i|+1), and the jet of A^(-s) about c gives
-    A^(-Re c) sum_k |log A|^k/k! <= A^(1-Re c).  G = A^(-s) (power 0) thus
-    contributes A^(-Re c-2J); G = zeta_H(s, A) (power 1) contributes
-    sum_m (A+m)^(1-sigma) <= A^(-e) (1 + 1/e) at sigma = Re c+2J+1, with
-    e = Re c+2J-1.  Both read K A^(-e), e = Re c+2J-power and
-    K = |B_{2J+2}|/(2J+2)! h^(2J+1) prod_i (|c+i|+1) (1 + power/e), so the
-    target holds for A >= A* = max(1, (2^53 K)^(1/2J), (2^53 K)^(1/e)); where
-    e <= 0 it never holds.  c and a broadcast; c need not match a's shape.
+    2^-53 min(1, A^(power-Re c)), the size of the leading tail term.  For
+    A >= 1 the slot sums of a jet product are at most the product of the
+    slot sums: (s)_{2J+1} gives prod_{i<=2J} (|c+i|+1), and the jet of
+    A^(-s) about c gives A^(-Re c) sum_k |log A|^k/k! <= A^(1-Re c).
+    G = A^(-s) (power 0) thus contributes A^(-Re c-2J); G = zeta_H(s, A)
+    (power 1) contributes sum_m (A+m)^(1-sigma) <= A^(-e) (1 + 1/e) at
+    sigma = Re c+2J+1, with e = Re c+2J-1.  Both read K A^(-e), e = Re
+    c+2J-power and K = |B_{2J+2}|/(2J+2)! h^(2J+1) prod_i (|c+i|+1)
+    (1 + power/e), so the target holds for A >= A* = max(1, (2^53
+    K)^(1/2J), (2^53 K)^(1/e)).  Raises AccuracyError where e <= 0 (or c
+    is NaN), as no N meets the target, and where N exceeds the row budget
+    _CHUNK.  c and a broadcast; c need not match a's shape.
     """
     c = np.asarray(c, dtype=complex)
     a = np.asarray(a, dtype=float)
     e = c.real + 2 * j_len - power
-    pos = e > 0
-    e_pos = np.where(pos, e, 1.0)
+    if not np.all(e > 0):
+        raise AccuracyError("no Euler-Maclaurin head length meets the bound "
+                            f"at Re s <= {power - 2 * j_len}")
     log_k = (math.log(2.0 ** 53 * abs(_B_FACT[2 * j_len + 2])
                       * h ** (2 * j_len + 1))
              + np.log(np.abs(c[..., None] + np.arange(2 * j_len + 1)) + 1.0)
-             .sum(axis=-1) + np.log1p(power / e_pos))
-    log_cut = np.where(pos, np.maximum(0.0, log_k / np.minimum(2 * j_len, e_pos)),
-                       np.inf)
+             .sum(axis=-1) + np.log1p(power / e))
     with np.errstate(over="ignore"):
-        cut = np.exp(log_cut)
-    n = np.where(cut <= a + h * cap,
-                 np.clip(np.ceil((cut - a) / h), 0, cap), cap)
+        cut = np.exp(np.maximum(0.0, log_k / np.minimum(2 * j_len, e)))
+    n = np.maximum(np.ceil((cut - a) / h), 0.0)
+    if not np.all(n <= _CHUNK):
+        raise AccuracyError(f"Euler-Maclaurin head length {np.max(n):.3g} "
+                            f"exceeds {_CHUNK} terms: |s| or w/v is too large")
     return n.astype(int)
 
 
@@ -237,8 +241,7 @@ def _em_tail(c, h, head, cut, poch):
     omitted = np.abs(terms[:-1, -1])  # the top slot is not read
     if not np.all(omitted <= _JET_REL_ERR * np.maximum(1.0, np.abs(out[:-1]))):
         raise AccuracyError(
-            f"Euler-Maclaurin truncation error up to {np.max(omitted):.3g}: "
-            "s is beyond the reach of the capped head length",
+            f"Euler-Maclaurin truncation error up to {np.max(omitted):.3g}",
             value=out, achieved=float(np.max(omitted)))
     return out
 
@@ -250,26 +253,29 @@ def _hurwitz_jet(c, a, n: int, poch=None):
     ``_em_tail`` with G = A^(-s), h = 1 and HURWITZ_J corrections at the
     cut A = N + a, where G(s+k) is A^(-k) A^(-s).  The head length N is
     chosen per element by ``_head_length`` (power 0): the least N whose
-    first omitted correction is below 2^-53 of the tail, at most HURWITZ_M.
-    Head terms are built only for the elements with N > 0 (on a lattice of
-    rows, the few nearest the origin), summed in order up to the largest N
-    and zeroed beyond each element's own, so a batch is bitwise equal to
-    scalar calls.  ``poch`` is ``_rising``(c, n+2, HURWITZ_J) with c of
-    E's rank, built here unless the caller hands it over to share it.
-    Raises AccuracyError where the first omitted correction at N =
-    HURWITZ_M exceeds the jet's rounding floor, which happens for |Im c|
-    beyond about 150-200.
+    first omitted correction is below 2^-53 of the tail; it refuses where
+    none is, or where N exceeds _CHUNK.  Head terms are built only for the
+    elements with N > 0 (on a lattice of rows, the few nearest the origin),
+    zeroed beyond each element's own N and summed in order, in blocks of
+    at most _CHUNK jet elements: the sum so far is row 0 of the next
+    block's, so the bits do not depend on the blocks and a batch is
+    bitwise equal to scalar calls.  ``poch`` is ``_rising``(c, n+2,
+    HURWITZ_J) with c of E's rank, built here unless the caller hands it
+    over to share it.
     """
     c = _center(c)
     a = np.asarray(a, dtype=float)
-    size = _head_length(c, a, 1.0, HURWITZ_J, 0, HURWITZ_M)
+    size = _head_length(c, a, 1.0, HURWITZ_J, 0)
     head = np.zeros((n + 2,) + size.shape, dtype=c.dtype)
     some = size > 0
     if np.any(some):
-        m = np.arange(size.max())[:, None]
-        terms = _jet_pow(np.broadcast_to(a, size.shape)[some] + m,
-                         np.broadcast_to(c, size.shape)[some], n)
-        head[:, some] = _sum_in_order(np.where(m < size[some], terms, 0.0))
+        a_some, c_some = (np.broadcast_to(x, size.shape)[some] for x in (a, c))
+        top, step = size.max(), max(1, _CHUNK // a_some.size)
+        for lo in range(0, top, step):
+            m = np.arange(lo, min(lo + step, top))[:, None]
+            terms = np.where(m < size[some], _jet_pow(a_some + m, c_some, n), 0.0)
+            head[:, some] = _sum_in_order(
+                np.concatenate([head[:, None, some], terms], axis=1))
     base = a + size
     k = np.array([-1, 0, *range(1, 2 * HURWITZ_J + 2, 2)])
     cut = base ** -k.reshape((-1,) + (1,) * base.ndim) * _jet_pow(base, c, n)[:, None]
@@ -315,7 +321,6 @@ def frac_part_integral_1d(a, c, s, with_error: bool = False):
 
 
 _TAIL_TERMS = 5  # Euler-Maclaurin correction terms kept in the 2-D tail
-_CHUNK = 8192  # Hurwitz points per call of the 2-D rule: bounds the jets' memory
 
 
 def _gauss_rule(n: int):

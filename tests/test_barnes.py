@@ -20,7 +20,7 @@ from barneszeta import (
 )
 from barneszeta import barnes, numerics
 from barneszeta.barnes import _row_sum_jet, _zeta2_jet
-from barneszeta.config import DIRECT_M, EM_ORDER, HURWITZ_J
+from barneszeta.config import EM_ORDER, HURWITZ_J
 from barneszeta.errors import AccuracyError, DomainError, PoleError
 from barneszeta.numerics import _head_length, _hurwitz_jet, _rising
 
@@ -162,19 +162,20 @@ class TestZeta2:
         vec = zeta2(s, p)
         for si, vi in zip(s, vec):
             assert vi == zeta2(complex(si), p)
-        # row counts from 8 to DIRECT_M: the shorter heads are zero-padded
-        # up to the longest, which must not change a single bit
+        # row counts from 8 to 120, past the former cap of 64: the shorter
+        # heads are zero-padded up to the longest, which must not change a
+        # single bit
         s = np.array([-3.0 + 0j, 0.5 + 2j, 3.0 + 0j, 0.5 + 30j, -8 + 10j,
                       0.5 + 100j])
-        rows = _head_length(s, p.alpha / p.w, p.v / p.w, EM_ORDER, 1, DIRECT_M)
-        assert len(np.unique(rows)) == len(s) and rows.max() == DIRECT_M
+        rows = _head_length(s, p.alpha / p.w, p.v / p.w, EM_ORDER, 1)
+        assert len(np.unique(rows)) == len(s) and rows.max() > 64
         vec = zeta2(s, p)
         for si, vi in zip(s, vec):
             assert vi == zeta2(complex(si), p)
 
     def test_row_sum_vectorized_over_alpha(self):
         # the theorem-2 alpha slope batches the outer row sum over its
-        # start alpha; row counts from 1 to DIRECT_M are zero-padded up to
+        # start alpha; row counts from 1 to 121 are zero-padded up to
         # the longest.  A scalar call sums its head rows on the innermost
         # axis, where a pairwise sum would round differently from the
         # batch.  Real centers run in float64, complex ones in complex128
@@ -182,14 +183,14 @@ class TestZeta2:
         alphas = np.array([0.01, 0.7, 3.0, 30.0, 2.1 * 65, 3.4 * 4097, 1e4])
         counts = set()
         for c in (2.0, 1.0, 0.5 + 30j, 0.5 + 100j):
-            rows = _head_length(c, alphas / w, v / w, EM_ORDER, 1, DIRECT_M)
+            rows = _head_length(c, alphas / w, v / w, EM_ORDER, 1)
             assert len(np.unique(np.maximum(rows, 1))) >= 3
             counts.update(np.maximum(rows, 1))
             vec = _row_sum_jet(c, alphas, v, w, 4)
             assert vec.dtype == np.result_type(c, float)
             for ai, vi in zip(alphas, vec.T):
                 assert np.array_equal(vi, _row_sum_jet(c, ai, v, w, 4))
-        assert min(counts) == 1 and max(counts) == DIRECT_M
+        assert min(counts) == 1 and max(counts) > 64
 
     def test_row_sum_batch_at_rising_zeros(self):
         # at c = 0 and c = -3 a zero of (s)_{2j-1} meets a pole of

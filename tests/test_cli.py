@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from barneszeta import BarnesParams, laurent_at_1, zeta2
@@ -51,7 +52,7 @@ class TestEval:
         _, rec, _ = run_cli(capsys, ["eval", "--s", "0.5", "--alpha", "1",
                                      "--v", "1", "--w", "1"])
         assert rec["config"] == {
-            "direct_M": 64, "em_order": 10, "hurwitz_M": 64, "hurwitz_J": 12,
+            "em_order": 10, "hurwitz_J": 12,
             "quad": {"cell_order": 12, "max_cells": 200000,
                      "tail_tol": 1e-13},
             "fd_step": 0.1,
@@ -65,18 +66,30 @@ class TestEval:
             assert exc.value.code == 64
 
     def test_beyond_reach_exits_3(self, capsys):
-        code, rec, err = run_cli(capsys, ["eval", "--s=0.5+1000i",
+        # a head of about 1.7e4 rows is past the row budget of 8,192
+        code, rec, err = run_cli(capsys, ["eval", "--s=0.5+1e4i",
                                           "--alpha", "0.3", "--v", "1",
                                           "--w", "1"])
         assert code == 3
         assert rec is None
-        assert "error" in err
-        # refused by the outer Euler-Maclaurin level at lopsided weights
-        code, rec, _ = run_cli(capsys, ["eval", "--s=0.5+160i",
-                                        "--alpha", "0.1", "--v", "4.9",
-                                        "--w", "0.1"])
+        assert "exceeds 8192 terms" in err
+        # no head length meets the bound of the outer level at Re s <= -19
+        code, rec, err = run_cli(capsys, ["eval", "--s=-19.5",
+                                          "--alpha", "0.1", "--v", "4.9",
+                                          "--w", "0.1"])
         assert code == 3
         assert rec is None
+        assert "no Euler-Maclaurin head length" in err
+
+    def test_former_cap_refusals_exit_0(self, capsys):
+        # the head-length cap of 64 refused both; the values are checked
+        # against mpmath in test_hurwitz
+        for argv in (["--s=0.5+1000i", "--alpha", "0.3", "--v", "1", "--w", "1"],
+                     ["--s=0.5+160i", "--alpha", "0.1", "--v", "4.9",
+                      "--w", "0.1"]):
+            code, rec, _ = run_cli(capsys, ["eval", *argv])
+            assert code == 0
+            assert all(math.isfinite(x) for x in rec["value"].values())
 
     def test_dominated_methods_are_usage_errors(self):
         # Euler-Maclaurin beats the direct sum and the integral
@@ -237,6 +250,38 @@ class TestLaurent:
         for g, e, j, b in zip(rec["gammas"], rec["est_errors"], jet.gammas,
                               jet.errs):
             assert abs(g - j) <= e + b
+
+
+class TestDegenerateWeights:
+    # a record with a non-finite entry is refused (exit 3), not written as
+    # bare NaN, which is not JSON; v w underflowing to 0 is a usage error
+    def test_non_finite_record_exits_3(self, capsys):
+        with np.errstate(all="ignore"):
+            code, rec, err = run_cli(capsys, ["laurent", "--pole", "2",
+                                              "--alpha", "1", "--v", "1e300",
+                                              "--w", "1e300"])
+        assert code == 3
+        assert rec is None
+        assert "not finite" in err
+
+    def test_weight_product_underflow_exits_64(self, capsys):
+        for pole in ("1", "2"):
+            code, rec, err = run_cli(capsys, ["laurent", "--pole", pole,
+                                              "--alpha", "1", "--v", "1e-300",
+                                              "--w", "1e-300"])
+            assert code == 64
+            assert rec is None
+            assert "v*w underflows to 0" in err
+
+    def test_limit_non_finite_exits_3(self, capsys):
+        with np.errstate(all="ignore"):
+            code, rec, err = run_cli(capsys, ["laurent", "--pole", "1",
+                                              "--method", "limit",
+                                              "--alpha", "1", "--v", "1e-160",
+                                              "--w", "1e-160"])
+        assert code == 3
+        assert rec is None
+        assert "not finite" in err and "w/v" not in err
 
 
 class TestSpecial:

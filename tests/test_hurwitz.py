@@ -14,10 +14,10 @@ from barneszeta import (
     stieltjes_constants,
     zeta2,
 )
-from barneszeta.config import HURWITZ_J, HURWITZ_M
+from barneszeta.config import HURWITZ_J
 from barneszeta.errors import AccuracyError, DomainError, PoleError
-from barneszeta.numerics import (_JET_REL_ERR, _head_length, _hurwitz_jet,
-                                 _jet_pow)
+from barneszeta.numerics import (_CHUNK, _JET_REL_ERR, _head_length,
+                                 _hurwitz_jet, _jet_pow)
 
 from conftest import (GAMMA0_HALF, RAW_STIELTJES_1, ZETA2, ZETA3, ZETA4,
                       zeta2_commensurate_mpmath)
@@ -89,20 +89,38 @@ class TestHurwitzZeta:
                     assert abs(val - ref) < tol * max(1.0, abs(val))
 
     def test_beyond_head_length_reach_raises(self):
-        # HURWITZ_M = 64 terms cannot resolve |Im s| = 1000: the value
-        # would be about 3e7 off, so it must not be returned.
+        # the head would need about 1e208 terms, far beyond the row budget
         with pytest.raises(AccuracyError):
-            hurwitz_zeta(0.5 + 1000j, 0.3)
-        with pytest.raises(AccuracyError):
-            zeta2(0.5 + 1000j, BarnesParams(0.7, 1.0, 1.0))
-        # at lopsided weights the outer level refuses first; the values
-        # would be 2.7e-10 and 7.6e-11 off relative, 18x and 5x the floor
-        for p in (BarnesParams(0.1, 4.9, 0.1), BarnesParams(0.1, 0.1, 4.9)):
-            with pytest.raises(AccuracyError):
-                zeta2(0.5 + 160j, p)
-        # there the sums overflow to NaN, which must raise as well
-        with np.errstate(all="ignore"), pytest.raises(AccuracyError):
             hurwitz_zeta(0.5 + 1e200j, 0.3)
+
+    def test_refuses_head_beyond_row_budget(self):
+        # |Im s| = 2e4 needs about 2.1e4 head terms, past _CHUNK
+        with pytest.raises(AccuracyError, match=f"exceeds {_CHUNK} terms"):
+            hurwitz_zeta(0.5 + 2e4j, 0.3)
+        with pytest.raises(AccuracyError, match=f"exceeds {_CHUNK} terms"):
+            zeta2(0.5 + 1e4j, BarnesParams(0.7, 1.0, 1.0))
+
+    def test_refuses_where_no_head_meets_the_bound(self):
+        # e = Re s + 2J - power <= 0: Re s <= -24 for zeta_H, Re s <= -19
+        # for the row sum of zeta_2, which at -20.5 was 8.3e26 off
+        with pytest.raises(AccuracyError, match="no Euler-Maclaurin head"):
+            hurwitz_zeta(-24.0 + 1j, 0.7)
+        with pytest.raises(AccuracyError, match="no Euler-Maclaurin head"):
+            zeta2(-20.5, BarnesParams(0.7, 1.0, 1.0))
+
+    def test_former_cap_refusals_are_accurate(self):
+        # the head-length cap of 64 refused these; the value at 1000i
+        # would have been about 3e7 off.  Worst seen 2.6e-12
+        s = 0.5 + 1000j
+        ref = complex(mpmath.zeta(s, 0.3))
+        assert abs(hurwitz_zeta(s, 0.3) - ref) <= 1e-11 * abs(ref)
+        ref = zeta2_commensurate_mpmath(s, 0.7, 1, 1, 1.0)
+        assert abs(zeta2(s, BarnesParams(0.7, 1.0, 1.0)) - ref) <= 1e-11 * abs(ref)
+        # at lopsided weights the outer level refused first
+        s = 0.5 + 160j
+        ref = zeta2_commensurate_mpmath(s, 0.1, 49, 1, 0.1)
+        for p in (BarnesParams(0.1, 4.9, 0.1), BarnesParams(0.1, 0.1, 4.9)):
+            assert abs(zeta2(s, p) - ref) <= 1e-11 * abs(ref)
 
     def test_within_head_length_reach_returns(self):
         s = 0.5 + 100j
@@ -119,15 +137,29 @@ class TestHurwitzZeta:
         vec = hurwitz_zeta(s, 0.7)
         for si, vi in zip(s, vec):
             assert vi == hurwitz_zeta(complex(si), 0.7)
-        # a batch whose elements sum heads of different lengths, zero to
-        # HURWITZ_M, must still match scalar calls bit for bit
+        # a batch whose elements sum heads of different lengths, from zero
+        # to dozens, must still match scalar calls bit for bit
         s = np.array([-2.5 + 0j, 0.5 + 3j, 2.0 + 0j, 6.0 - 40j])[:, None]
         a = np.geomspace(0.01, 1e4, 7)
-        sizes = _head_length(s, a, 1.0, HURWITZ_J, 0, HURWITZ_M)
+        sizes = _head_length(s, a, 1.0, HURWITZ_J, 0)
         assert len(np.unique(sizes)) > 4 and sizes.min() == 0
         vec = hurwitz_zeta(s, a)
         for (i, j), vi in np.ndenumerate(vec):
             assert vi == hurwitz_zeta(complex(s[i, 0]), float(a[j]))
+
+    def test_head_blocks_carry_the_sum(self):
+        # 0.5+8000i needs a head of 7,558 terms.  Beside four more
+        # elements with heads, the batch sums it in blocks of _CHUNK // 5
+        # rows, a scalar call in one block; the sum so far opens each
+        # block, so the bits must not differ
+        s = np.array([0.5 + 8000j, 0.5 + 3j, -2.5 + 0j, 6.0 - 40j, 3.0 + 0j])
+        sizes = _head_length(s, 0.3, 1.0, HURWITZ_J, 0)
+        assert np.count_nonzero(sizes) * sizes.max() > _CHUNK
+        vec = hurwitz_zeta(s, 0.3)
+        for si, vi in zip(s, vec):
+            assert vi == hurwitz_zeta(complex(si), 0.3)
+        ref = complex(mpmath.zeta(s[0], 0.3))
+        assert abs(vec[0] - ref) <= 1e-11 * abs(ref)
 
     def test_jet_on_lattice_rows_matches_scalar(self):
         # the limit formula's rows a_m = (alpha+m v)/w: head terms are built
@@ -135,7 +167,7 @@ class TestHurwitzZeta:
         # batch must equal the scalar call bit for bit
         a = (2.5 + 0.5 * np.arange(300)) / 2.5
         for c in (2.0, 1.0, 0.5 + 30j):
-            sizes = _head_length(c, a, 1.0, HURWITZ_J, 0, HURWITZ_M)
+            sizes = _head_length(c, a, 1.0, HURWITZ_J, 0)
             assert 0 < np.count_nonzero(sizes) < len(a) // 2
             jet = _hurwitz_jet(c, a, 4)
             assert jet.shape == (6, len(a))
@@ -169,6 +201,34 @@ class TestHurwitzZeta:
         for s in (math.inf, math.nan, complex(2.0, math.inf), [2.0, math.inf]):
             with pytest.raises(DomainError, match="s must be finite"):
                 hurwitz_zeta(s, 0.5)
+
+
+class TestReach:
+    """The head lengths follow (s, a) with no cap: on this mpmath grid every
+    point is within 1e-11 relative (worst seen 1.9e-12 for zeta_H, 4.9e-12
+    for zeta_2, both at Re s = 0.5)."""
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0, 6.0])
+    def test_hurwitz_grid(self, sigma):
+        for t in (150.0, 1e3, 3e3):
+            for k, a in enumerate((0.1, 0.7, 3.3)):
+                s = complex(sigma, (-1) ** k * t)
+                ref = complex(mpmath.zeta(s, a))
+                assert abs(hurwitz_zeta(s, a) - ref) <= 1e-11 * abs(ref), (s, a)
+
+    @pytest.mark.parametrize("t", [150.0, 500.0, 1e3])
+    def test_zeta2_grid(self, t):
+        # (alpha; p step, q step) against the commensurate closed form.
+        # zeta_2 is symmetric in v, w, so one reference serves both orders,
+        # which sum rows of step h = v/w and w/v
+        for sigma in (0.5, 2.5):
+            s = complex(sigma, t)
+            for alpha, p, q, step in ((0.7, 1, 1, 1.0), (0.7, 1, 2, 1.0),
+                                      (0.1, 49, 1, 0.1)):
+                ref = zeta2_commensurate_mpmath(s, alpha, p, q, step)
+                for v, w in ((p * step, q * step), (q * step, p * step)):
+                    val = zeta2(s, BarnesParams(alpha, v, w))
+                    assert abs(val - ref) <= 1e-11 * abs(ref), (s, v, w)
 
 
 class TestStieltjes:

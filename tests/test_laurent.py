@@ -56,6 +56,29 @@ class TestResidues:
             assert abs(e1.gamma_minus1 - residue_at_1(p)) < 1e-10
 
 
+class TestDegenerateWeights:
+    # weights whose products leave float64: a record is finite or refused
+    def test_non_finite_record_refused(self):
+        # v = w = 1e300: the jet's slots are NaN, once written out as NaN
+        with np.errstate(all="ignore"), pytest.raises(AccuracyError,
+                                                      match="not finite"):
+            laurent_at_2(BarnesParams(1.0, 1e300, 1e300), 2)
+
+    def test_weight_product_underflow_is_value_error(self):
+        # v w = 1e-600 is 0 in float64, once a ZeroDivisionError
+        p = BarnesParams(1.0, 1e-300, 1e-300)
+        for f in (residue_at_1, residue_at_2, lambda p: laurent_at_2(p, 2)):
+            with pytest.raises(ValueError, match="v\\*w underflows to 0"):
+                f(p)
+
+    def test_limit_names_non_finite_slots(self):
+        # v = w, so the refusal must not blame w/v
+        with np.errstate(all="ignore"), pytest.raises(
+                AccuracyError, match="not finite") as exc:
+            gammak_at_1_limit(BarnesParams(1.0, 1e-160, 1e-160), 2)
+        assert "w/v" not in str(exc.value)
+
+
 class TestLaurentAt2:
     def test_unit_parameters_match_riemann(self):
         # zeta_2(s,1;1,1) = zeta(s-1), so the s=2 coefficients are the raw

@@ -17,12 +17,13 @@ from barneszeta import (
     frac_part_integral_2d,
     richardson_extrapolate,
 )
-from barneszeta.config import DIRECT_M, EM_ORDER, HURWITZ_J, HURWITZ_M
+from barneszeta.config import EM_ORDER, HURWITZ_J
 from barneszeta import numerics
 from barneszeta.errors import AccuracyError, DomainError
 from barneszeta.hurwitz import _hurwitz_jet, hurwitz_zeta
 from barneszeta.numerics import (
     _B,
+    _CHUNK,
     _head_length,
     _jet_mul,
     _jet_pow,
@@ -79,11 +80,11 @@ def _omitted_bound(c, cut, h, j_len, power):
     return k * cut ** -e
 
 
-def _check_head_length(c, a, h, j_len, power, cap, floor, g):
+def _check_head_length(c, a, h, j_len, power, floor, g):
     """The head length rule at one (c, a): ``g(cut)`` is the jet of
     G(s+2J+1, cut) that ``_em_tail`` receives."""
-    size = int(_head_length(c, a, h, j_len, power, cap))
-    assert 0 <= size <= cap
+    size = int(_head_length(c, a, h, j_len, power))
+    assert 0 <= size <= _CHUNK
 
     def met(cut, slack=1.0):
         target = 2.0 ** -53 * min(1.0, cut ** (power - c.real))
@@ -92,45 +93,46 @@ def _check_head_length(c, a, h, j_len, power, cap, floor, g):
     cut = a + h * max(size, floor)
     assert np.all(_first_omitted(c, h, j_len, g(cut))
                   <= (1 + 1e-9) * _omitted_bound(c, cut, h, j_len, power))
-    if size < cap:
-        assert cut >= 1.0 and met(cut)
-    if not met(a + h * cap):
-        assert size == cap
-    if 0 < size < cap:  # the least count: one fewer misses the target
+    assert cut >= 1.0 and met(cut)
+    if size > 0:  # the least count: one fewer misses the target
         prev = a + h * (size - 1)
         assert prev < 1.0 or not met(prev, 1 - 1e-9)
 
 
-_em_c = st.builds(complex, st.floats(-2.0, 8.0), st.floats(-150.0, 150.0))
+_em_c = st.builds(complex, st.floats(-2.0, 8.0), st.floats(-1000.0, 1000.0))
 _em_param = st.floats(0.1, 5.0)
 
 
 class TestHeadLength:
     # Both Euler-Maclaurin levels: the bound holds the first omitted
-    # correction, is below 2^-53 of the tail wherever the head is shorter
-    # than the cap, and the head is the shortest that gets there.
+    # correction, is below 2^-53 of the tail, and the head is the shortest
+    # that gets there; with no cap, |Im c| reaches 1000 here.
     @settings(derandomize=True, deadline=None)
     @given(_em_c, st.floats(math.log(0.01), math.log(1e4)).map(math.exp),
            st.integers(1, 6))
     def test_inner_level(self, c, a, n):
         _check_head_length(
-            c, a, 1.0, HURWITZ_J, 0, HURWITZ_M, 0,
+            c, a, 1.0, HURWITZ_J, 0, 0,
             lambda cut: _jet_pow(cut, c + 2 * HURWITZ_J + 1, n))
 
     @settings(derandomize=True, deadline=None)
     @given(_em_c, _em_param, _em_param, _em_param, st.integers(1, 6))
     def test_outer_level(self, c, alpha, v, w, n):
         _check_head_length(
-            c, alpha / w, v / w, EM_ORDER, 1, DIRECT_M, 1,
+            c, alpha / w, v / w, EM_ORDER, 1, 1,
             lambda cut: _hurwitz_jet(c + 2 * EM_ORDER + 1, cut, n))
 
-    def test_cap_where_unreachable(self):
-        # the cap where no head meets the target: at Re c + 2J <= power,
-        # where the cut would lie beyond the cap, and for NaN
-        sizes = _head_length(np.array([-24.0, -20.5 + 3j, complex(np.nan)]),
-                             0.7, 1.0, HURWITZ_J, 0, HURWITZ_M)
-        assert list(sizes) == [HURWITZ_M] * 3
-        assert _head_length(-19.0, 0.3, 0.6, EM_ORDER, 1, DIRECT_M) == DIRECT_M
+    def test_refuses_where_unreachable(self):
+        # no head meets the target at Re c + 2J <= power, nor for NaN; at
+        # -20.5+3i the head would be far longer than the row budget, and
+        # one such element refuses its whole batch
+        for c in (-24.0, complex(np.nan)):
+            with pytest.raises(AccuracyError, match="no Euler-Maclaurin head"):
+                _head_length(c, 0.7, 1.0, HURWITZ_J, 0)
+        with pytest.raises(AccuracyError, match="no Euler-Maclaurin head"):
+            _head_length(-19.0, 0.3, 0.6, EM_ORDER, 1)
+        with pytest.raises(AccuracyError, match=f"exceeds {_CHUNK} terms"):
+            _head_length(np.array([-20.5 + 3j, 2.0]), 0.7, 1.0, HURWITZ_J, 0)
 
 
 class TestContour:
@@ -347,11 +349,11 @@ class TestFracPart2D:
 
     def test_refusals(self):
         # the cell budget is checked before any Hurwitz work; below it, the
-        # Hurwitz jets refuse where their capped head length falls short
+        # Hurwitz jets refuse where a head would exceed the row budget
         with pytest.raises(AccuracyError, match="cell budget"):
             frac_part_integral_2d(1.0, 1.0, 1.0, 3.5 + 1e6j)
-        with pytest.raises(AccuracyError, match="Euler-Maclaurin"):
-            frac_part_integral_2d(1.0, 1.0, 1.0, 3.5 + 300j)
+        with pytest.raises(AccuracyError, match=f"exceeds {_CHUNK} terms"):
+            frac_part_integral_2d(1.0, 1.0, 1.0, 3.5 + 1e4j)
 
     def test_two_chunks_match_one_call(self, monkeypatch):
         # 8,431 Hurwitz points: calls of 8,192 and 239, and the same bits
