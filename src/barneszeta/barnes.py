@@ -15,6 +15,7 @@ import numpy as np
 from .config import EM_ORDER, HURWITZ_J
 from .errors import AccuracyError, DomainError, PoleError
 from .numerics import (
+    _CHUNK,
     _center,
     _em_tail,
     _head_length,
@@ -107,9 +108,23 @@ def _row_sum_jet(c, alpha, v, w, n: int):
     serves both levels: it is built on the Hurwitz call's centers c + k,
     and its shift-0 row, (c)_1..(c)_{2 HURWITZ_J+1}, holds the
     (c)_1..(c)_{2 EM_ORDER+1} of the outer tail, with the same bits.
+    Where the elements' rows (heads and cut shifts) would pass _CHUNK, the
+    elements go in groups of at most _CHUNK rows, so the memory follows the
+    row budget rather than the batch.
     """
     c, alpha = _center(c), np.asarray(alpha, dtype=float)
     size = np.maximum(_head_length(c, alpha / w, v / w, EM_ORDER, 1), 1)
+    step = max(1, _CHUNK // (size.max() + EM_ORDER + 3))  # elements a group
+    if size.size <= step:
+        return _row_sum_rows(c, alpha, size, v, w, n)
+    flat = [np.broadcast_to(x, size.shape).ravel() for x in (c, alpha, size)]
+    groups = [_row_sum_rows(*(x[i:i + step] for x in flat), v, w, n)
+              for i in range(0, size.size, step)]
+    return np.concatenate(groups, axis=1).reshape((n + 2,) + size.shape)
+
+
+def _row_sum_rows(c, alpha, size, v, w, n: int):
+    """``_row_sum_jet`` on elements with head lengths ``size``, in one call."""
     row_axis = (-1,) + (1,) * size.ndim  # the row index R, ahead of E
     m = np.arange(size.max(initial=0)).reshape(row_axis)
     shifts = np.array([0] * len(m) + [-1, 0, *range(1, 2 * EM_ORDER + 2, 2)])

@@ -31,7 +31,8 @@ __all__ = [
 
 _BERNOULLI_MAX = 64
 # the row budget, which bounds the jets' memory: the longest Euler-Maclaurin
-# head and head block, the limit formula's rows, the 2-D rule's points a call
+# head and head block, a row sum's rows a group, the limit formula's rows,
+# the 2-D rule's points a call
 _CHUNK = 8192
 
 
@@ -92,13 +93,15 @@ _B_FACT = [b / math.factorial(k) for k, b in enumerate(_B)]
 # factor needs the other factor one order higher, so its top slot is not
 # exact and evaluators carry one order more than read.  A jet's dtype
 # follows its center (``_center``): float64 about a real center, complex128
-# about a complex one.  x^-c alone stays a complex power whose real part is
-# taken, because numpy's float64 power rounds differently in its SIMD,
-# strided and 0-d loops, which would leave a batch unequal to its scalar
-# calls.  The Euler-Maclaurin tails multiply G by the rising-factorial
-# jets (s)_{2j-1}; ``_rising`` fills one table of them in place, and a
-# row sum builds it once on the Hurwitz centers c + k and hands its
-# shift-0 row to the outer tail, so both levels share it.
+# about a complex one.  numpy's float64 power rounds differently in its
+# SIMD, strided and 0-d loops, picked by the shape of the batch, which
+# would leave a batch unequal to its scalar calls: x^-c stays a complex
+# power whose real part is taken, and integer powers are products
+# (``_jet_recip``, the cut of ``_hurwitz_jet``).  The Euler-Maclaurin
+# tails multiply G by the rising-factorial jets (s)_{2j-1}; ``_rising``
+# fills one table of them in place, and a row sum builds it once on the
+# Hurwitz centers c + k and hands its shift-0 row to the outer tail, so
+# both levels share it.
 # Rounding floor of a jet coefficient, relative to max(1, |coefficient|):
 # 16x the worst error seen against mpmath at orders -1..12.
 _JET_REL_ERR = 2.0 ** -36
@@ -155,8 +158,8 @@ def _jet_recip(c, n: int):
     """Jet of 1/(s-1) about s = c; where c = 1 it is the pole slot alone."""
     d = _center(c) - 1.0
     pole = d == 0
-    k = np.arange(1, n + 2).reshape((-1,) + (1,) * d.ndim)
-    taylor = -(-1.0 / np.where(pole, 1.0, d)) ** k
+    step = np.full((n + 1,) + d.shape, -1.0 / np.where(pole, 1.0, d))
+    taylor = -np.cumprod(step, axis=0)  # (-1/d)^k, k = 1..n+1
     return np.concatenate([pole[None], np.where(pole, 0.0, taylor)])
 
 
@@ -164,19 +167,23 @@ def _head_length(c, a, h, j_len: int, power: int):
     """Terms to sum before the Euler-Maclaurin cut A = a + h*N, per element.
 
     The smallest N whose bound on the first omitted correction of
-    ``_em_tail`` (j = J+1), summed over every jet slot, is at most
-    2^-53 min(1, A^(power-Re c)), the size of the leading tail term.  For
-    A >= 1 the slot sums of a jet product are at most the product of the
-    slot sums: (s)_{2J+1} gives prod_{i<=2J} (|c+i|+1), and the jet of
-    A^(-s) about c gives A^(-Re c) sum_k |log A|^k/k! <= A^(1-Re c).
-    G = A^(-s) (power 0) thus contributes A^(-Re c-2J); G = zeta_H(s, A)
-    (power 1) contributes sum_m (A+m)^(1-sigma) <= A^(-e) (1 + 1/e) at
-    sigma = Re c+2J+1, with e = Re c+2J-1.  Both read K A^(-e), e = Re
-    c+2J-power and K = |B_{2J+2}|/(2J+2)! h^(2J+1) prod_i (|c+i|+1)
-    (1 + power/e), so the target holds for A >= A* = max(1, (2^53
-    K)^(1/2J), (2^53 K)^(1/e)).  Raises AccuracyError where e <= 0 (or c
-    is NaN), as no N meets the target, and where N exceeds the row budget
-    _CHUNK.  c and a broadcast; c need not match a's shape.
+    ``_em_tail`` (j = J+1), summed over every jet slot, is at most 2^-53
+    min(1, A^(power-Re c)), the size of the leading tail term; where Re c
+    < power-1 the head's terms grow faster than their index, and the
+    target is 2^-53 A^(1+power-Re c), the rounding floor of the head's
+    absolute sum, since a longer head loses more to cancellation than it
+    gains.  For A >= 1 the slot sums of a jet product are at most the
+    product of the slot sums: (s)_{2J+1} gives prod_{i<=2J} (|c+i|+1), and
+    the jet of A^(-s) about c gives A^(-Re c) sum_k |log A|^k/k! <=
+    A^(1-Re c).  G = A^(-s) (power 0) thus contributes A^(-Re c-2J);
+    G = zeta_H(s, A) (power 1) contributes sum_m (A+m)^(1-sigma) <= A^(-e)
+    (1 + 1/e) at sigma = Re c+2J+1, with e = Re c+2J-1.  Both read
+    K A^(-e), e = Re c+2J-power and K = |B_{2J+2}|/(2J+2)! h^(2J+1)
+    prod_i (|c+i|+1) (1 + power/e), so the target holds for A >= A* =
+    max(1, (2^53 K)^(1/2J), (2^53 K)^(1/e)), or (2^53 K)^(1/(2J+1)) where
+    Re c < power-1.  Raises AccuracyError where e <= 0 (or c is NaN), as
+    the bound fails, and where N exceeds the row budget _CHUNK.  c and a
+    broadcast; c need not match a's shape.
     """
     c = np.asarray(c, dtype=complex)
     a = np.asarray(a, dtype=float)
@@ -189,7 +196,8 @@ def _head_length(c, a, h, j_len: int, power: int):
              + np.log(np.abs(c[..., None] + np.arange(2 * j_len + 1)) + 1.0)
              .sum(axis=-1) + np.log1p(power / e))
     with np.errstate(over="ignore"):
-        cut = np.exp(np.maximum(0.0, log_k / np.minimum(2 * j_len, e)))
+        cut = np.exp(np.maximum(0.0, log_k / np.where(
+            c.real < power - 1, 2 * j_len + 1, np.minimum(2 * j_len, e))))
     n = np.maximum(np.ceil((cut - a) / h), 0.0)
     if not np.all(n <= _CHUNK):
         raise AccuracyError(f"Euler-Maclaurin head length {np.max(n):.3g} "
@@ -277,8 +285,12 @@ def _hurwitz_jet(c, a, n: int, poch=None):
             head[:, some] = _sum_in_order(
                 np.concatenate([head[:, None, some], terms], axis=1))
     base = a + size
-    k = np.array([-1, 0, *range(1, 2 * HURWITZ_J + 2, 2)])
-    cut = base ** -k.reshape((-1,) + (1,) * base.ndim) * _jet_pow(base, c, n)[:, None]
+    # A^(-k), k = -1, 0, 1, 3, .., 2J+1, by products (see the jet notes)
+    pows = np.empty((HURWITZ_J + 3,) + base.shape)
+    pows[0], pows[1], pows[2] = base, 1.0, 1.0 / base
+    pows[3:] = pows[2] * pows[2]
+    np.multiply.accumulate(pows[2:], axis=0, out=pows[2:])
+    cut = pows * _jet_pow(base, c, n)[:, None]
     if poch is None:
         poch = _rising(c.reshape((1,) * (size.ndim - c.ndim) + c.shape),
                        n + 2, HURWITZ_J)

@@ -192,6 +192,32 @@ class TestZeta2:
                 assert np.array_equal(vi, _row_sum_jet(c, ai, v, w, 4))
         assert min(counts) == 1 and max(counts) > 64
 
+    def test_row_budget_groups_keep_the_bits(self, monkeypatch):
+        # rows x elements past _CHUNK: the elements go in groups within the
+        # row budget, and every element of the batch must equal its scalar
+        # call bit for bit, in the batch's shape
+        groups, whole = [], barnes._row_sum_rows
+
+        def spied(c, alpha, size, v, w, n):
+            groups.append(size.size * (size.max() + EM_ORDER + 3))
+            return whole(c, alpha, size, v, w, n)
+
+        monkeypatch.setattr(barnes, "_row_sum_rows", spied)
+        p = BarnesParams(0.7, 1.3, 2.1)
+        # 200 points with 10 to 45 head rows each
+        s = (np.linspace(-3.0, 6.0, 200)
+             + 1j * np.linspace(40.0, -40.0, 200)).reshape(2, 100)
+        vec = zeta2(s, p)
+        # the theorem-2 alpha slope batches one center over many alpha
+        c, alphas = 0.5 + 30j, np.geomspace(0.01, 30.0, 300)
+        jets = _row_sum_jet(c, alphas, p.v, p.w, 3)
+        assert len(groups) == 4 and max(groups) <= numerics._CHUNK, groups
+        monkeypatch.undo()
+        for idx, vi in np.ndenumerate(vec):
+            assert vi == zeta2(complex(s[idx]), p), idx
+        for ai, ji in zip(alphas[::3], jets[:, ::3].T):
+            assert np.array_equal(ji, _row_sum_jet(c, ai, p.v, p.w, 3))
+
     def test_row_sum_batch_at_rising_zeros(self):
         # at c = 0 and c = -3 a zero of (s)_{2j-1} meets a pole of
         # G(s+2j-1) in one jet product, at both levels; batches over alpha

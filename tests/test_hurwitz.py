@@ -114,13 +114,31 @@ class TestHurwitzZeta:
         s = 0.5 + 1000j
         ref = complex(mpmath.zeta(s, 0.3))
         assert abs(hurwitz_zeta(s, 0.3) - ref) <= 1e-11 * abs(ref)
-        ref = zeta2_commensurate_mpmath(s, 0.7, 1, 1, 1.0)
+        ref = _REACH_ZETA2[s, 0.7, 1, 1, 1.0]
         assert abs(zeta2(s, BarnesParams(0.7, 1.0, 1.0)) - ref) <= 1e-11 * abs(ref)
-        # at lopsided weights the outer level refused first
+        # at lopsided weights the outer level refused first; the reference
+        # is zeta2_commensurate_mpmath(s, 0.1, 49, 1, 0.1), computed once
         s = 0.5 + 160j
-        ref = zeta2_commensurate_mpmath(s, 0.1, 49, 1, 0.1)
+        ref = -4.28278384897247 - 4.788873738387842j
         for p in (BarnesParams(0.1, 4.9, 0.1), BarnesParams(0.1, 0.1, 4.9)):
             assert abs(zeta2(s, p) - ref) <= 1e-11 * abs(ref)
+
+    def test_growing_terms_keep_short_heads(self):
+        # at Re s < -1 the head's terms grow, and a head sized for an
+        # absolute 2^-53 cancels in float64: at -6+100i it was 1.2e-5
+        # (zeta_H) and 1.2e-2 (zeta_2) off.  Worst seen 1.1e-10 and
+        # 4.3e-10; the former cap of 64 terms gave 4.7e-11 and 4.4e-9
+        s = -6 + 100j
+        ref = complex(mpmath.zeta(s, 0.7))
+        assert abs(hurwitz_zeta(s, 0.7) - ref) <= 3e-10 * abs(ref)
+        ref = zeta2_commensurate_mpmath(s, 0.7, 1, 1, 1.0)
+        assert abs(zeta2(s, BarnesParams(0.7, 1.0, 1.0)) - ref) <= 3e-9 * abs(ref)
+        # at -10+50i no head meets the jet floor, so both refuse; the cap
+        # of 64 returned values 1.8e-5 and 1.2e-3 off
+        with pytest.raises(AccuracyError, match="truncation error"):
+            hurwitz_zeta(-10 + 50j, 0.7)
+        with pytest.raises(AccuracyError, match="truncation error"):
+            zeta2(-10 + 50j, BarnesParams(0.7, 1.0, 1.0))
 
     def test_within_head_length_reach_returns(self):
         s = 0.5 + 100j
@@ -129,7 +147,7 @@ class TestHurwitzZeta:
         assert np.isfinite(zeta2(s, BarnesParams(0.7, 1.0, 1.0)))
         # (0.1; 4.9, 0.1) has weights 49:1 with t = 0.1
         s = 0.5 + 130j
-        ref = zeta2_commensurate_mpmath(s, 0.1, 49, 1, 0.1)
+        ref = 1.858771487093599 - 2.103060484020174j  # as at 160i
         assert abs(zeta2(s, BarnesParams(0.1, 4.9, 0.1)) - ref) < 1e-10 * abs(ref)
 
     def test_vectorized_matches_scalar(self):
@@ -203,6 +221,60 @@ class TestHurwitzZeta:
                 hurwitz_zeta(s, 0.5)
 
 
+# References for TestReach, computed once with mpmath: zeta_H by
+# mpmath.zeta at 30 digits, zeta_2 by conftest.zeta2_commensurate_mpmath,
+# (s, alpha, p, q, t) for the weights (p t, q t)
+_REACH_HURWITZ = {
+    ((0.5+150j), 0.1): (4.0513217857990425+0.5400322501174631j),
+    ((0.5-150j), 0.7): (-3.7309895031950964-1.2497571155744056j),
+    ((0.5+150j), 3.3): (0.7084813949481529+1.157263837689653j),
+    ((0.5+1000j), 0.1): (-1.1764799222395772-0.19215475008205007j),
+    ((0.5-1000j), 0.7): (-0.26767870705726055+1.6710763231931627j),
+    ((0.5+1000j), 3.3): (3.574623393957538-0.13118978518099284j),
+    ((0.5+3000j), 0.1): (-4.432230531812208+1.2028772081627035j),
+    ((0.5-3000j), 0.7): (-1.1616605237191178+1.8950924043363848j),
+    ((0.5+3000j), 3.3): (1.7832979296981823-1.0015352766345655j),
+    ((2+150j), 0.1): (98.19569508234622-19.152625372520568j),
+    ((2-150j), 0.7): (-2.2657622044188717-0.21099702435115256j),
+    ((2+150j), 3.3): (-0.048876778849792836+0.09688108509648609j),
+    ((2+1000j), 0.1): (-97.28324284755641+19.230001039137598j),
+    ((2-1000j), 0.7): (0.013321586063584696+2.2930111901395596j),
+    ((2+1000j), 3.3): (0.13403161757558055-0.06671954073343261j),
+    ((2+3000j), 0.1): (-82.94327102872687+56.80466476974695j),
+    ((2-3000j), 0.7): (-0.7950824595879926-1.6240980998086925j),
+    ((2+3000j), 3.3): (0.022954367414149364-0.07751614258897509j),
+    ((6+150j), 0.1): (982486.6504963099-186333.05075779842j),
+    ((6-150j), 0.7): (-8.483178927920768+0.7610307427895846j),
+    ((6+150j), 3.3): (-0.0006818135463882414+0.000201896610257158j),
+    ((6+1000j), 0.1): (-979602.3227165219+200944.09394746035j),
+    ((6-1000j), 0.7): (0.8466358360945814+8.46777474636365j),
+    ((6+1000j), 3.3): (0.0008382168794004898-0.00023188289836313438j),
+    ((6+3000j), 0.1): (-821382.7367549965+570378.2434369475j),
+    ((6-3000j), 0.7): (-2.639051472522672-8.053406340296949j),
+    ((6+3000j), 3.3): (0.0005798985483706856-0.0003613895809146714j),
+}
+_REACH_ZETA2 = {
+    ((0.5+150j), 0.7, 1, 1, 1.0): (-36.80764962183786+1.63107247384361j),
+    ((0.5+150j), 0.7, 1, 2, 1.0): (-19.62720735110826+1.3661330849339135j),
+    ((0.5+150j), 0.1, 49, 1, 0.1): (1.6472981632564527+1.2853185971233596j),
+    ((2.5+150j), 0.7, 1, 1, 1.0): (-2.8818622148877315+0.4345564871601818j),
+    ((2.5+150j), 0.7, 1, 2, 1.0): (-2.661638096962136+0.14672811406114816j),
+    ((2.5+150j), 0.1, 49, 1, 0.1): (259.4257746240884-58.306582319123j),
+    ((0.5+500j), 0.7, 1, 1, 1.0): (8.086956800572374-80.798570257707j),
+    ((0.5+500j), 0.7, 1, 2, 1.0): (4.223905014153259-41.3679354455062j),
+    ((0.5+500j), 0.1, 49, 1, 0.1): (2.5157742851777307-8.677564042371102j),
+    ((2.5+500j), 0.7, 1, 1, 1.0): (-1.4074725129140457+0.7712751548085474j),
+    ((2.5+500j), 0.7, 1, 2, 1.0): (-1.564890661222353+1.1775398481922768j),
+    ((2.5+500j), 0.1, 49, 1, 0.1): (96.44937487064183+319.05479222677803j),
+    ((0.5+1000j), 0.7, 1, 1, 1.0): (-53.34703566215248-49.303852092992585j),
+    ((0.5+1000j), 0.7, 1, 2, 1.0): (-26.50139143128521-26.097053624619353j),
+    ((0.5+1000j), 0.1, 49, 1, 0.1): (5.693832403513458-7.438307534145818j),
+    ((2.5+1000j), 0.7, 1, 1, 1.0): (-0.0167608784710806-2.8871572370263294j),
+    ((2.5+1000j), 0.7, 1, 2, 1.0): (0.15041449393633552-2.685872385604661j),
+    ((2.5+1000j), 0.1, 49, 1, 0.1): (-290.7222646812329+90.87331534394986j),
+}
+
+
 class TestReach:
     """The head lengths follow (s, a) with no cap: on this mpmath grid every
     point is within 1e-11 relative (worst seen 1.9e-12 for zeta_H, 4.9e-12
@@ -210,25 +282,20 @@ class TestReach:
 
     @pytest.mark.parametrize("sigma", [0.5, 2.0, 6.0])
     def test_hurwitz_grid(self, sigma):
-        for t in (150.0, 1e3, 3e3):
-            for k, a in enumerate((0.1, 0.7, 3.3)):
-                s = complex(sigma, (-1) ** k * t)
-                ref = complex(mpmath.zeta(s, a))
+        for (s, a), ref in _REACH_HURWITZ.items():
+            if s.real == sigma:
                 assert abs(hurwitz_zeta(s, a) - ref) <= 1e-11 * abs(ref), (s, a)
 
     @pytest.mark.parametrize("t", [150.0, 500.0, 1e3])
     def test_zeta2_grid(self, t):
-        # (alpha; p step, q step) against the commensurate closed form.
         # zeta_2 is symmetric in v, w, so one reference serves both orders,
         # which sum rows of step h = v/w and w/v
-        for sigma in (0.5, 2.5):
-            s = complex(sigma, t)
-            for alpha, p, q, step in ((0.7, 1, 1, 1.0), (0.7, 1, 2, 1.0),
-                                      (0.1, 49, 1, 0.1)):
-                ref = zeta2_commensurate_mpmath(s, alpha, p, q, step)
-                for v, w in ((p * step, q * step), (q * step, p * step)):
-                    val = zeta2(s, BarnesParams(alpha, v, w))
-                    assert abs(val - ref) <= 1e-11 * abs(ref), (s, v, w)
+        for (s, alpha, p, q, step), ref in _REACH_ZETA2.items():
+            if s.imag != t:
+                continue
+            for v, w in ((p * step, q * step), (q * step, p * step)):
+                val = zeta2(s, BarnesParams(alpha, v, w))
+                assert abs(val - ref) <= 1e-11 * abs(ref), (s, v, w)
 
 
 class TestStieltjes:

@@ -87,7 +87,10 @@ def _check_head_length(c, a, h, j_len, power, floor, g):
     assert 0 <= size <= _CHUNK
 
     def met(cut, slack=1.0):
-        target = 2.0 ** -53 * min(1.0, cut ** (power - c.real))
+        if c.real < power - 1:  # the head's absolute sum sets the target
+            target = 2.0 ** -53 * cut ** (1 + power - c.real)
+        else:
+            target = 2.0 ** -53 * min(1.0, cut ** (power - c.real))
         return _omitted_bound(c, cut, h, j_len, power) <= slack * target
 
     cut = a + h * max(size, floor)
@@ -124,15 +127,15 @@ class TestHeadLength:
 
     def test_refuses_where_unreachable(self):
         # no head meets the target at Re c + 2J <= power, nor for NaN; at
-        # -20.5+3i the head would be far longer than the row budget, and
-        # one such element refuses its whole batch
+        # 0.5+1e4i the head would be longer than the row budget, and one
+        # such element refuses its whole batch
         for c in (-24.0, complex(np.nan)):
             with pytest.raises(AccuracyError, match="no Euler-Maclaurin head"):
                 _head_length(c, 0.7, 1.0, HURWITZ_J, 0)
         with pytest.raises(AccuracyError, match="no Euler-Maclaurin head"):
             _head_length(-19.0, 0.3, 0.6, EM_ORDER, 1)
         with pytest.raises(AccuracyError, match=f"exceeds {_CHUNK} terms"):
-            _head_length(np.array([-20.5 + 3j, 2.0]), 0.7, 1.0, HURWITZ_J, 0)
+            _head_length(np.array([0.5 + 1e4j, 2.0]), 0.7, 1.0, HURWITZ_J, 0)
 
 
 class TestContour:
@@ -400,6 +403,14 @@ class TestFracPart2D:
                                                  with_error=True)
                 ref = sawtooth_2d_mpmath(alpha, p, q, t, s)
                 assert abs(val - ref) <= err, (alpha, p, q, t, s)
+
+
+    def test_within_bar_at_im_300(self):
+        # past the former head-length cap: every Gauss node's Hurwitz point
+        # carries a head of its own, a few hundred terms here
+        val, err = frac_part_integral_2d(1.0, 1.0, 1.0, 3.5 + 300j,
+                                         with_error=True)
+        assert abs(val - sawtooth_2d_mpmath(1.0, 1, 1, 1.0, 3.5 + 300j)) <= err
 
 
 class TestCentralDifference:
