@@ -22,6 +22,7 @@ from .numerics import (
     _hurwitz_jet,
     _jet_mul,
     _jet_pow,
+    _refuse_non_finite,
     _rising,
     _sum_in_order,
 )
@@ -106,7 +107,7 @@ def _row_sum_jet(c, alpha, v, w, n: int):
     zeta_H(s+k, a_R), k = -1, 0, 1, 3, ..., 2 EM_ORDER+1, so a batch is
     bitwise equal to scalar calls.  One rising-factorial table (``_rising``)
     serves both levels: it is built on the Hurwitz call's centers c + k,
-    and its shift-0 row, (c)_1..(c)_{2 HURWITZ_J+1}, holds the
+    and its shift-0 table, (c)_0..(c)_{2 HURWITZ_J+1}, holds the
     (c)_1..(c)_{2 EM_ORDER+1} of the outer tail, with the same bits.
     Where the elements' rows (heads and cut shifts) would pass _CHUNK, the
     elements go in groups of at most _CHUNK rows, so the memory follows the
@@ -130,11 +131,11 @@ def _row_sum_rows(c, alpha, size, v, w, n: int):
     shifts = np.array([0] * len(m) + [-1, 0, *range(1, 2 * EM_ORDER + 2, 2)])
     rows = np.minimum(np.arange(len(shifts)).reshape(row_axis), size)  # R repeats
     centers = c + shifts.reshape(row_axis)
-    poch = _rising(centers, n + 2, HURWITZ_J)
+    poch = _rising(centers, n + 2, 2 * HURWITZ_J + 1)
     zh = _hurwitz_jet(centers, (alpha + v * rows) / w, n, poch)
     head = _sum_in_order(np.where(m < size, zh[:, :len(m)], 0.0))
     assert EM_ORDER <= HURWITZ_J  # the outer rows are a prefix of the table
-    return _em_tail(c, v / w, head, zh[:, len(m):], poch[:, :EM_ORDER + 1, 0])
+    return _em_tail(c, v / w, head, zh[:, len(m):], poch[:, :, 0])
 
 
 def _zeta2_jet(c, p: BarnesParams, n: int):
@@ -142,6 +143,7 @@ def _zeta2_jet(c, p: BarnesParams, n: int):
     return _jet_mul(_jet_pow(p.w, c, n), _row_sum_jet(c, p.alpha, p.v, p.w, n))
 
 
+@_refuse_non_finite
 def zeta2(s, p: BarnesParams):
     """zeta_2(s, alpha; v, w) for s away from the poles at 1 and 2.
 

@@ -59,11 +59,6 @@ def format_complex(z: complex) -> str:
     return f"{z.real:.17g}{sign}{abs(z.imag):.17g}i"
 
 
-def _num(x: float) -> float:
-    # 17 significant digits survive the JSON round trip exactly
-    return float(f"{x:.17g}")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -83,7 +78,7 @@ def _record(args, started, **fields) -> dict:
         "schema_version": SCHEMA_VERSION,
         "command": vars_echo(args),
         "config": SNAPSHOT,
-        "wall_time_ms": _num((time.perf_counter() - started) * 1000.0),
+        "wall_time_ms": (time.perf_counter() - started) * 1000.0,
     }
     rec.update(fields)
     return rec
@@ -112,8 +107,8 @@ def _cmd_eval(args) -> int:
     else:
         value, err, method = zeta2(s, p), None, "em"
     rec = _record(args, started,
-                  value={"re": _num(value.real), "im": _num(value.imag)},
-                  est_error=(None if err is None else _num(err)),
+                  value={"re": value.real, "im": value.imag},
+                  est_error=err,
                   method=method)
     _emit(rec)
     return EXIT_OK
@@ -128,11 +123,11 @@ def _cmd_laurent(args) -> int:
     exp = routes[args.method][args.pole - 1](p, args.kmax)
     rec = _record(args, started,
                   pole=args.pole, method=exp.method,
-                  gamma_minus1=_num(exp.gamma_minus1),
-                  exact_residue=_num(exact),
-                  err_minus1=_num(exp.err_minus1),
-                  gammas=[_num(g) for g in exp.gammas],
-                  est_errors=[_num(e) for e in exp.errs])
+                  gamma_minus1=exp.gamma_minus1,
+                  exact_residue=exact,
+                  err_minus1=exp.err_minus1,
+                  gammas=list(exp.gammas),
+                  est_errors=list(exp.errs))
     _emit(rec)
     return EXIT_OK
 
@@ -145,19 +140,19 @@ def _cmd_special(args) -> int:
             return EXIT_USAGE
         table = stieltjes_constants(args.a, args.kmax)
         rec = _record(args, started, what=args.what, a=args.a,
-                      gammas=[_num(g) for g in table.gammas],
-                      est_errors=[_num(e) for e in table.errs])
+                      gammas=list(table.gammas),
+                      est_errors=list(table.errs))
     else:
         p = _params_from(args)
         if args.what == "gamma2":
             value = log_gamma2(p)
             rec = _record(args, started, what=args.what,
-                          log_gamma2=_num(value),
-                          gamma2=_num(math.exp(value)))
+                          log_gamma2=value,
+                          gamma2=math.exp(value))
         else:  # polygamma
             value = polygamma2(args.k, p)
             rec = _record(args, started, what=args.what, k=args.k,
-                          value=_num(value))
+                          value=value)
     _emit(rec)
     return EXIT_OK
 

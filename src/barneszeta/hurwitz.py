@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, PoleError
 from .laurent import LaurentExpansion, _read_slots
-from .numerics import _JET_REL_ERR, _hurwitz_jet
+from .numerics import _JET_REL_ERR, _hurwitz_jet, _refuse_non_finite
 
 __all__ = [
     "hurwitz_zeta",
@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 
+@_refuse_non_finite
 def hurwitz_zeta(s, a):
     """Hurwitz zeta zeta_H(s, a), continued to all s != 1.
 

@@ -23,7 +23,7 @@ import numpy as np
 from .barnes import BarnesParams, _zeta2_jet
 from .errors import AccuracyError
 from .numerics import (_B_FACT, _CHUNK, _JET_REL_ERR, _frac_1d, _hurwitz_jet,
-                       _jet_mul, _jet_pow, _jet_recip, _sawtooth_2d,
+                       _jet_mul, _jet_pow, _jet_recip, _rising, _sawtooth_2d,
                        _sum_in_order)
 
 __all__ = [
@@ -161,6 +161,11 @@ def gamma0_at_2_integral(p: BarnesParams) -> float:
     return float(regular.real - (1.0 + math.log(alpha)) / (v * w))
 
 
+# (s)_0..(s)_62 about each pole in 15 slots: Gamma ratios for k_max <= 12
+_POLE_RISING = {c: _rising(np.asarray(float(c)), 15, len(_B_FACT) - 3)
+                for c in (1, 2)}
+
+
 def _far_series(p: BarnesParams, center: int, start: float, n: int):
     """Jet about s = center, slots eps^-1..eps^n, of zeta_2(s, start; v, w)
     from the large-A series of its Mellin form (Barnes 1901; Matsumoto
@@ -170,27 +175,19 @@ def _far_series(p: BarnesParams, center: int, start: float, n: int):
     C_k A^(2-k) is A^2/(vw) (hi/A)^k times one convolution of B_i/i!
     (-lo/hi)^i with B_j/j! (-1)^j, lo, hi = min, max(v, w), finite where C_k
     alone would overflow; the order of v and w does not change its bits.
-    The Gamma ratio is 1/((s-1)(s-2)), 1/(s-1), 1, then (s)_{k-2}.  A
-    term's size is its largest slot eps^0..eps^n.  The asymptotic series
-    is cut before its smallest pair of adjacent sizes (an even C_k
-    vanishes at some v/w), and that pair is its truncation error.  Returns
-    the cut series, the truncation error and the kept terms' summed |jets|,
-    its rounding scale.
+    The Gamma ratio is 1/((s-1)(s-2)), 1/(s-1), 1, then (s)_{k-2}, read
+    from the pole's ``_rising`` table, for n <= 12.  A term's size is its
+    largest slot eps^0..eps^n.  The asymptotic series is cut before its
+    smallest pair of adjacent sizes (an even C_k vanishes at some v/w),
+    and that pair is its truncation error.  Returns the cut series, the
+    truncation error and the kept terms' summed |jets|, its rounding scale.
     """
     lo, hi = min(p.v, p.w), max(p.v, p.w)
     b = np.array(_B_FACT)
     k = np.arange(len(b))
-    ratio = np.zeros((n + 3, len(b)))
-    ratio[:, 0] = _jet_mul(_jet_recip(center - 1, n + 1), _jet_recip(center, n + 1))
-    ratio[:, 1] = _jet_recip(center, n + 1)
-    # (s)_m = prod_{i<m} (c+i) (1 + eps/(c+i)): slot j is the prefix
-    # product times e_j(m) = sum_{i<m} e_{j-1}(i)/(c+i), e_0 = 1
-    steps = center + np.arange(len(b) - 3.0)
-    rising = ratio[1:, 2:]
-    rising[0] = 1.0
-    for j in range(1, n + 2):
-        np.cumsum(rising[j - 1, :-1] / steps, out=rising[j, 1:])
-    rising *= np.cumprod(np.append(1.0, steps))
+    ratio = np.column_stack([
+        _jet_mul(_jet_recip(center - 1, n + 1), _jet_recip(center, n + 1)),
+        _jet_recip(center, n + 1), _POLE_RISING[center][:n + 3]])
     with np.errstate(over="ignore", invalid="ignore"):
         coef = (np.convolve(b * (-lo / hi) ** k, b * (-1.0) ** k)[:len(b)]
                 * (hi / start) ** k * start ** 2 / (lo * hi))
@@ -224,8 +221,8 @@ def _limit_formula(p: BarnesParams, center: int, k_max: int):
     where alpha+(v+w)*M >= 1e15: beyond it the log powers cancel badly.
     Returns a LaurentExpansion, method "limit_formula".
     """
-    if not 0 <= k_max <= 4:
-        raise ValueError("k_max must be in 0..4")
+    if not 0 <= k_max <= 12:
+        raise ValueError("k_max must be in 0..12")
     lo, hi = min(p.v, p.w), max(p.v, p.w)
     # float until it is known to fit: hi/lo may overflow it to inf
     m = max(0.0, np.ceil((6.0 * hi - p.alpha) / lo) - 1.0)
@@ -255,10 +252,10 @@ def _limit_formula(p: BarnesParams, center: int, k_max: int):
 
 
 def gammak_at_2_limit(p: BarnesParams, k_max: int) -> LaurentExpansion:
-    """Coefficients g_{-1}..g_k_max at s = 2, k_max <= 4 (limit formula)."""
+    """Coefficients g_{-1}..g_k_max at s = 2, k_max <= 12 (limit formula)."""
     return _limit_formula(p, 2, k_max)
 
 
 def gammak_at_1_limit(p: BarnesParams, k_max: int) -> LaurentExpansion:
-    """Coefficients g_{-1}..g_k_max at s = 1, k_max <= 4 (limit formula)."""
+    """Coefficients g_{-1}..g_k_max at s = 1, k_max <= 12 (limit formula)."""
     return _limit_formula(p, 1, k_max)

@@ -9,6 +9,7 @@ and circle-contour extraction of Taylor/Laurent coefficients.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,14 +98,34 @@ _B_FACT = [b / math.factorial(k) for k, b in enumerate(_B)]
 # SIMD, strided and 0-d loops, picked by the shape of the batch, which
 # would leave a batch unequal to its scalar calls: x^-c stays a complex
 # power whose real part is taken, and integer powers are products
-# (``_jet_recip``, the cut of ``_hurwitz_jet``).  The Euler-Maclaurin
-# tails multiply G by the rising-factorial jets (s)_{2j-1}; ``_rising``
-# fills one table of them in place, and a row sum builds it once on the
-# Hurwitz centers c + k and hands its shift-0 row to the outer tail, so
-# both levels share it.
+# (``_jet_recip``, the cut of ``_hurwitz_jet``).  ``_rising`` alone builds
+# rising-factorial jets: the Euler-Maclaurin tails read its odd rows
+# (s)_{2j-1}, a row sum builds it once on the Hurwitz centers c + k for
+# both levels, and the far series of the limit formula reads (s)_{k-2}
+# from a table built once per pole at import.
 # Rounding floor of a jet coefficient, relative to max(1, |coefficient|):
 # 16x the worst error seen against mpmath at orders -1..12.
 _JET_REL_ERR = 2.0 ** -36
+
+
+def _refuse_non_finite(evaluator):
+    """``evaluator`` run with float64 overflow silenced, and its result
+    (value, or value and bar) refused with AccuracyError where an entry is
+    not finite.  No jet code divides by a computed value, so an overflow
+    only carries inf or NaN into the result, or raises OverflowError in a
+    Python scalar power, and refusing that is enough."""
+    @functools.wraps(evaluator)
+    def refusing(*args, **kwargs):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = evaluator(*args, **kwargs)
+        except OverflowError:
+            out = math.inf
+        if not np.isfinite(out).all():
+            raise AccuracyError(
+                f"{evaluator.__name__} is not a finite float64 here", value=out)
+        return out
+    return refusing
 
 
 def _center(c):
@@ -205,22 +226,22 @@ def _head_length(c, a, h, j_len: int, power: int):
     return n.astype(int)
 
 
-def _rising(c, n2: int, j_len: int):
-    """Jets of (s)_{2j-1} about s = c, j = 1..J+1, shape (n2, J+1, *C) for
-    C the shape of c (an array of the jet's dtype, ``_center``).
+def _rising(c, n2: int, m: int):
+    """Jets of (s)_i about s = c, i = 0..m, shape (n2, m+1, *C) for C the
+    shape of c (an array of the jet's dtype, ``_center``).
 
-    One (2J+2, n2, *C) table holds (s)_0, ..., (s)_{2J+1}, filled in place
-    by two ufunc calls a step: (s)_{i+1} = (s)_i (c + i + eps), where eps
-    moves every slot up by one.  The odd rows are returned as a view.
+    One (m+1, n2, *C) table, filled in place by two ufunc calls a step:
+    (s)_{i+1} = (s)_i (c + i + eps), where eps moves every slot up by one,
+    so a table of fewer rows or slots is a prefix of a longer one, bitwise.
     """
-    table = np.zeros((2 * j_len + 2, n2) + c.shape, dtype=c.dtype)
+    table = np.zeros((m + 1, n2) + c.shape, dtype=c.dtype)
     table[0, 1] = 1.0
-    steps = c + np.arange(2 * j_len + 1).reshape((-1,) + (1,) * c.ndim)
+    steps = c + np.arange(m).reshape((-1,) + (1,) * c.ndim)
     rows, upper, lower = list(table), list(table[:, 2:]), list(table[:, 1:-1])
     for i, step in enumerate(steps):
         np.multiply(rows[i], step, out=rows[i + 1])
         np.add(upper[i + 1], lower[i], out=upper[i + 1])
-    return table[1::2].swapaxes(0, 1)
+    return table.swapaxes(0, 1)
 
 
 def _em_tail(c, h, head, cut, poch):
@@ -229,10 +250,10 @@ def _em_tail(c, h, head, cut, poch):
     G obeys the rules of A^(-s): d/dA G(s) = -s G(s+1), integral_A^inf
     G(s) = G(s-1, A)/(s-1).  ``head`` (n+2, *E) is the jet of the terms
     before the cut A_M; ``cut`` (n+2, J+3, *E) holds G(s+k, A_M) for k = -1,
-    0, 1, 3, .., 2J+1; ``poch`` (n+2, J+1, *C) holds (s)_{2j-1}, j = 1..J+1
-    (``_rising``), with C of E's rank; c broadcasts against E.  The
-    Hurwitz level builds poch, and the row sum hands the outer level the
-    first J+1 rows of the Hurwitz level's table at shift 0.  Returns head
+    0, 1, 3, .., 2J+1; ``poch`` (n+2, R, *C), R > 2J+1, is a ``_rising``
+    table with C of E's rank, whose odd rows (s)_{2j-1}, j <= J+1, are
+    read; c broadcasts against E.  The Hurwitz level builds poch, and the
+    row sum hands the outer level the Hurwitz table at shift 0.  Returns head
     + G(s-1)/(h(s-1)) + G(s)/2 + sum_{j<=J} B_2j/(2j)! h^(2j-1) (s)_{2j-1}
     G(s+2j-1), the sum in the order of j; a zero of (s)_{2j-1} meets a
     pole of G in one jet product.  Raises AccuracyError where the first
@@ -244,7 +265,7 @@ def _em_tail(c, h, head, cut, poch):
     coefs = np.array([_B_FACT[2 * j] * h ** (2 * j - 1)
                       for j in range(1, j_len + 2)])
     terms = (coefs.reshape((-1,) + (1,) * (head.ndim - 1))
-             * _jet_mul(poch, cut[:, 2:]))
+             * _jet_mul(poch[:, 1:2 * j_len + 2:2], cut[:, 2:]))
     out = out + _sum_in_order(terms[:, :-1])
     omitted = np.abs(terms[:-1, -1])  # the top slot is not read
     if not np.all(omitted <= _JET_REL_ERR * np.maximum(1.0, np.abs(out[:-1]))):
@@ -268,8 +289,8 @@ def _hurwitz_jet(c, a, n: int, poch=None):
     at most _CHUNK jet elements: the sum so far is row 0 of the next
     block's, so the bits do not depend on the blocks and a batch is
     bitwise equal to scalar calls.  ``poch`` is ``_rising``(c, n+2,
-    HURWITZ_J) with c of E's rank, built here unless the caller hands it
-    over to share it.
+    2 HURWITZ_J+1) with c of E's rank, built here unless the caller hands
+    it over to share it.
     """
     c = _center(c)
     a = np.asarray(a, dtype=float)
@@ -293,7 +314,7 @@ def _hurwitz_jet(c, a, n: int, poch=None):
     cut = pows * _jet_pow(base, c, n)[:, None]
     if poch is None:
         poch = _rising(c.reshape((1,) * (size.ndim - c.ndim) + c.shape),
-                       n + 2, HURWITZ_J)
+                       n + 2, 2 * HURWITZ_J + 1)
     return _em_tail(c, 1.0, head, cut, poch)
 
 
@@ -312,6 +333,7 @@ def _frac_1d(a, c, s, zh):
     return value, err
 
 
+@_refuse_non_finite
 def frac_part_integral_1d(a, c, s, with_error: bool = False):
     """integral_0^inf (x-[x]) (a+cx)^(-s) dx for Re(s) > 1, in closed form.
 
@@ -387,6 +409,7 @@ def _sawtooth_2d(alpha, h, s, extra_c, extra_a):
     return jets[0][:, :len(extra_c)], full, half, coef[:-1] * g[frac.size:]
 
 
+@_refuse_non_finite
 def frac_part_integral_2d(alpha, v, w, s, with_error: bool = False):
     """integral_0^inf integral_0^inf (x-[x])(y-[y]) (alpha+v*y+w*x)^(-s) dx dy.
 

@@ -54,7 +54,7 @@ TOL_LIMIT = 1e-10       # finite-M limit formulas, M from the weights
 TOL_INTEGRAL = 5e-12    # integral form of g_0(2) vs the jet
 
 # Check ids, built once so that every report holds the same strings.
-_LIMIT_IDS = {suffix: tuple(f"gamma{k}_limit_formula{suffix}" for k in range(5))
+_LIMIT_IDS = {suffix: tuple(f"gamma{k}_limit_formula{suffix}" for k in range(13))
               for suffix in ("", "_s1")}
 _DERIV_IDS = tuple(f"deriv_k{k:+d}" for k in range(-1, 4))  # k = -1..3
 _ALTSUM_IDS = tuple(f"altsum_k{k}" for k in range(4))
@@ -180,8 +180,8 @@ def _params_dict(p: BarnesParams) -> dict:
 def verify_theorem1(p: BarnesParams, k_max: int = 2,
                     tol: float | None = None) -> VerificationReport:
     """Residue, constant-term integral form, and k-th limit formulas at s=2."""
-    if not 0 <= k_max <= 4:
-        raise ValueError("k_max must be in 0..4")
+    if not 0 <= k_max <= 12:
+        raise ValueError("k_max must be in 0..12")
     tol_limit = TOL_LIMIT if tol is None else tol
     tol_int = TOL_INTEGRAL if tol is None else tol
     checks = []

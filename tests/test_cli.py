@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,9 @@ from barneszeta import BarnesParams, laurent_at_1, zeta2
 from barneszeta.cli import format_complex, main, parse_complex
 
 from conftest import EULER, RAW_STIELTJES_1, ZETA2, ZETA_PRIME_M1
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def run_cli(capsys, argv):
@@ -80,6 +86,29 @@ class TestEval:
         assert code == 3
         assert rec is None
         assert "no Euler-Maclaurin head length" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--s", "1000", "--alpha", "0.7", "--v", "1.3", "--w", "2.1"],
+        ["--s", "700", "--alpha", "0.3", "--v", "1", "--w", "1"]])
+    def test_non_finite_value_exits_3(self, capsys, argv):
+        # these printed RuntimeWarnings and "re": NaN, which is not JSON,
+        # and exited 0
+        code, rec, err = run_cli(capsys, ["eval", *argv])
+        assert code == 3
+        assert rec is None
+        assert err == "error: zeta2 is not a finite float64 here\n"
+
+    def test_non_finite_value_stderr_is_one_line(self):
+        # under Python's default warning filters, as a user runs it
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "barneszeta.cli", "eval", "--s", "1000",
+             "--alpha", "0.7", "--v", "1.3", "--w", "2.1"],
+            capture_output=True, text=True, env=env, check=False)
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr == "error: zeta2 is not a finite float64 here\n"
 
     def test_former_cap_refusals_exit_0(self, capsys):
         # the head-length cap of 64 refused both; the values are checked

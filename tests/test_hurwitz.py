@@ -24,6 +24,17 @@ from conftest import (GAMMA0_HALF, RAW_STIELTJES_1, ZETA2, ZETA3, ZETA4,
 
 
 class TestHurwitzZeta:
+    def test_non_finite_value_refused(self):
+        # 0.3^-700 overflows: the true value, about 1e366, is no float64,
+        # and inf used to be returned
+        for s in (700.0, np.array([3.0, 700.0])):
+            with pytest.raises(AccuracyError, match="hurwitz_zeta is not a "
+                                                    "finite"):
+                hurwitz_zeta(s, 0.3)
+        # 7.3e156, still finite: within 4.5e-14 of mpmath
+        ref = complex(mpmath.zeta(300, 0.3))
+        assert abs(hurwitz_zeta(300.0, 0.3) - ref) <= 1e-12 * abs(ref)
+
     def test_zeta3_direct_sum(self):
         m = np.arange(1, 2_000_001)
         direct = float(np.sum(m ** -3.0)) + 0.5 * 2_000_000.5 ** -2.0

@@ -378,17 +378,12 @@ class TestGammakAt2Limit:
                                                     "off by up to 0.001"):
                 limit(BarnesParams(0.7, 1.3, 2.1), 2)
 
-    def test_orders_beyond_four_rejected(self):
-        # the values and their err are only checked up to k = 4
-        with pytest.raises(ValueError):
-            gammak_at_2_limit(BarnesParams(1, 1, 1), 5)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_seeded_sweep(self):
-        # 200 random triples in (0.1, 5]^3 and the named ones, w/v = 500
-        # among them (M = 2,899), at both poles, k <= 4: none refused,
-        # every gap within err plus the jet's bar (worst ratio seen 0.037),
-        # and the worst min(abs, rel) gap 7.3e-13, 1/30 of TOL_LIMIT or less
+    @staticmethod
+    def _sweep(k_max):
+        """200 random triples in (0.1, 5]^3 and the named ones, w/v = 500
+        among them (M = 2,899), at both poles: asserts that none is refused
+        and that every gap is within err plus the jet's bar, and returns
+        the worst min(abs, rel) gap."""
         rng = np.random.default_rng(20261020)
         triples = [tuple(0.1 + 4.9 * rng.random(3)) for _ in range(200)]
         triples += [(0.1, 4.9, 0.1), (0.1, 0.1, 4.9), (1.0, 0.01, 5.0),
@@ -401,10 +396,31 @@ class TestGammakAt2Limit:
             p = BarnesParams(*triple)
             for jet, limit in ((laurent_at_2, gammak_at_2_limit),
                                (laurent_at_1, gammak_at_1_limit)):
-                exp, lim = jet(p, 4), limit(p, 4)
+                exp, lim = jet(p, k_max), limit(p, k_max)
                 for val, err, ref, bar in zip(lim.gammas, lim.errs,
                                               exp.gammas, exp.errs):
                     gap = abs(val - ref)
                     assert gap <= err + bar, (triple, limit, gap, err)
                     worst = max(worst, min(gap, gap / abs(ref)))
+        return worst
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_seeded_sweep(self):
+        # k <= 4: worst ratio seen 0.037, and the worst min(abs, rel) gap
+        # 7.3e-13, 1/30 of TOL_LIMIT or less
+        worst = self._sweep(4)
         assert worst <= TOL_LIMIT / 30, worst
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_seeded_sweep_to_k12(self):
+        # the jet's whole range, k <= 12: worst ratio seen 0.23 (s = 1),
+        # and the worst min(abs, rel) gap 7.5e-12 at s = 1 (k = 6 on
+        # (0.1; 4.9, 0.1)) and 5.3e-13 at s = 2, 1/10 of TOL_LIMIT or less
+        worst = self._sweep(12)
+        assert worst <= TOL_LIMIT / 10, worst
+
+    def test_orders_beyond_twelve_rejected(self):
+        # the jet's range: the far series' pole tables hold 15 slots
+        for limit in (gammak_at_2_limit, gammak_at_1_limit):
+            with pytest.raises(ValueError, match=r"k_max must be in 0\.\.12"):
+                limit(BarnesParams(1, 1, 1), 13)

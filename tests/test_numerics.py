@@ -18,7 +18,7 @@ from barneszeta import (
     richardson_extrapolate,
 )
 from barneszeta.config import EM_ORDER, HURWITZ_J
-from barneszeta import numerics
+from barneszeta import laurent, numerics
 from barneszeta.errors import AccuracyError, DomainError
 from barneszeta.hurwitz import _hurwitz_jet, hurwitz_zeta
 from barneszeta.numerics import (
@@ -210,20 +210,18 @@ class TestRichardson:
         val, _ = richardson_extrapolate(list(zip(ms, ys)), model=1)
         assert abs(val - 2.0) < 1e-9
 
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            richardson_extrapolate([(16, 1.0), (32, 1.1)], model=1)
-        with pytest.raises(ValueError):
-            richardson_extrapolate([(32, 1.0), (16, 1.1), (64, 1.2)], model=1)
-
-
-class TestFitLimit:
     def test_exact_model(self):
         # a sequence on the model's own basis: the fit is exact
         ms = np.array([2.0 ** k for k in range(4, 9)])
         ys = 5.0 + 2.0 / ms + 0.3 / ms ** 2
         val, _ = richardson_extrapolate(list(zip(ms, ys)), model=0)
         assert abs(val - 5.0) < 1e-12
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError):
+            richardson_extrapolate([(16, 1.0), (32, 1.1)], model=1)
+        with pytest.raises(ValueError):
+            richardson_extrapolate([(32, 1.0), (16, 1.1), (64, 1.2)], model=1)
 
 
 class TestSumInOrder:
@@ -256,25 +254,44 @@ def _rising_by_steps(c, n2, j_len):
 class TestRising:
     def test_matches_steps_bitwise(self):
         # the zeros of (s)_k at c = 0, -1, -3 and the signs of the zero
-        # slots must come out as the loop makes them
+        # slots must come out as the loop makes them; the tails read the
+        # odd rows
         centers = [np.asarray(c) for c in (0.0, -1.0, -3.0, 1.0, 2.0,
                                             -8.5 + 10j, 2.3 + 50j)]
         centers.append(np.array([[-3.0], [0.0], [0.5], [2.0], [7.25]]))
         for c in centers:
             for n2 in (3, 7, 14):
                 for j_len in (10, 12):
-                    got = _rising(c, n2, j_len)
-                    assert got.shape == (n2, j_len + 1) + c.shape
+                    got = _rising(c, n2, 2 * j_len + 1)
+                    assert got.shape == (n2, 2 * j_len + 2) + c.shape
                     want = _rising_by_steps(c, n2, j_len)
                     assert got.dtype == want.dtype
-                    assert got.tobytes() == want.tobytes(), (c, n2, j_len)
+                    assert got[:, 1::2].tobytes() == want.tobytes(), \
+                        (c, n2, j_len)
 
     def test_shorter_table_is_a_prefix(self):
-        # the row sum's outer level reads EM_ORDER+1 rows of the Hurwitz
-        # level's HURWITZ_J+1
-        for c in (np.asarray(0.5), np.asarray(-2.0 + 3j)):
-            long, short = _rising(c, 7, HURWITZ_J), _rising(c, 7, EM_ORDER)
-            assert long[:, :EM_ORDER + 1].tobytes() == short.tobytes()
+        # a table of fewer rows or slots is a prefix of a longer one: the
+        # row sum's outer level reads (s)_1..(s)_{2 EM_ORDER+1} of the
+        # Hurwitz level's table, (s)_0..(s)_{2 HURWITZ_J+1}, and the far
+        # series the first n+3 slots of its pole table
+        for c in (np.asarray(0.5), np.asarray(-2.0 + 3j), np.asarray(-3.0),
+                  np.array([0.0, -1.0, 2.5])):
+            long = _rising(c, 7, 2 * HURWITZ_J + 1)
+            assert long[:, 1:2 * EM_ORDER + 2:2].tobytes() == \
+                _rising_by_steps(c, 7, EM_ORDER).tobytes()
+            for n2, m in ((7, 2 * EM_ORDER + 1), (3, 2 * HURWITZ_J + 1),
+                          (2, 3)):
+                assert _rising(c, n2, m).tobytes() == \
+                    np.ascontiguousarray(long[:n2, :m + 1]).tobytes()
+
+    def test_pole_tables(self):
+        # the far series reads (s)_0..(s)_62 about each pole, in 15 slots,
+        # from a table built at import, which is a runtime call's bits
+        for c in (1, 2):
+            table = laurent._POLE_RISING[c]
+            assert table.shape == (15, 63)
+            assert table.tobytes() == \
+                _rising(np.asarray(float(c)), 15, 62).tobytes()
 
 
 class TestFracPart1D:
@@ -317,6 +334,13 @@ class TestFracPart1D:
             with pytest.raises(DomainError, match="s must be finite"):
                 frac_part_integral_1d(1.0, 1.0, s)
 
+    def test_non_finite_value_refused(self):
+        # 0.3^(1-s) overflows; NaN used to be returned
+        for with_error in (False, True):
+            with pytest.raises(AccuracyError,
+                               match="frac_part_integral_1d is not a finite"):
+                frac_part_integral_1d(0.3, 1.0, 800.0, with_error=with_error)
+
 
 class TestFracPart2D:
     def test_closed_loop_value(self):
@@ -357,6 +381,15 @@ class TestFracPart2D:
             frac_part_integral_2d(1.0, 1.0, 1.0, 3.5 + 1e6j)
         with pytest.raises(AccuracyError, match=f"exceeds {_CHUNK} terms"):
             frac_part_integral_2d(1.0, 1.0, 1.0, 3.5 + 1e4j)
+
+    def test_non_finite_value_refused(self):
+        # NaN used to be returned; at c = 1e-3, c^(-s) overflows in a
+        # Python scalar power, which raised OverflowError
+        for args in ((0.3, 1.0, 1.0, 800.0), (1e-3, 1e-3, 1e-3, 800.0)):
+            for with_error in (False, True):
+                with pytest.raises(AccuracyError,
+                                   match="frac_part_integral_2d is not a finite"):
+                    frac_part_integral_2d(*args, with_error=with_error)
 
     def test_two_chunks_match_one_call(self, monkeypatch):
         # 8,431 Hurwitz points: calls of 8,192 and 239, and the same bits

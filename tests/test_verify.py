@@ -189,8 +189,8 @@ class TestTheorem1:
         assert abs(g0.lhs - EULER) < 1e-9
 
     def test_kmax_validation(self):
-        with pytest.raises(ValueError):
-            verify_theorem1(BarnesParams(1, 1, 1), k_max=5)
+        with pytest.raises(ValueError, match=r"k_max must be in 0\.\.12"):
+            verify_theorem1(BarnesParams(1, 1, 1), k_max=13)
 
     def test_lopsided_limit_formula_to_k4(self):
         # w/v = 40: the fitted route was 1.04e-5 relative off at k = 4 under
