@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ from barneszeta.cli import format_complex, main, parse_complex
 
 from conftest import EULER, RAW_STIELTJES_1, ZETA2, ZETA_PRIME_M1
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, argv):
